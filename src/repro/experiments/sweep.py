@@ -239,28 +239,30 @@ def _fault_plan(params: Mapping[str, Any]):
     return FaultPlan.from_dict(dict(params.get("faults") or {}))
 
 
-def _run_linial_vectorized(graph, params, recorder=None):
+def _run_linial_vectorized(graph, params, recorder=None, csr=None):
     from ..sim.vectorized import linial_vectorized
 
     res, metrics, palette = linial_vectorized(
-        graph, defect=int(params.get("defect", 0)), recorder=recorder
+        graph, defect=int(params.get("defect", 0)), recorder=recorder, _csr=csr
     )
     return res, metrics, palette
 
 
-def _run_classic_vectorized(graph, params, recorder=None):
+def _run_classic_vectorized(graph, params, recorder=None, csr=None):
     from ..sim.vectorized import classic_delta_plus_one_vectorized
 
-    res, metrics = classic_delta_plus_one_vectorized(graph, recorder=recorder)
+    res, metrics = classic_delta_plus_one_vectorized(
+        graph, recorder=recorder, _csr=csr
+    )
     return res, metrics, None
 
 
-def _run_greedy_vectorized(graph, params, recorder=None):
+def _run_greedy_vectorized(graph, params, recorder=None, csr=None):
     from ..core.instance import delta_plus_one_instance
     from ..sim.vectorized import greedy_list_vectorized
 
     instance = delta_plus_one_instance(graph)
-    res = greedy_list_vectorized(instance)
+    res = greedy_list_vectorized(instance, _csr=csr)
     metrics = _announce_coloring_metrics(graph, instance.space.size, recorder)
     if recorder is not None:
         recorder.finalize(
@@ -272,17 +274,17 @@ def _run_greedy_vectorized(graph, params, recorder=None):
     return res, metrics, instance.space.size
 
 
-def _run_defective_split(graph, params, recorder=None):
+def _run_defective_split(graph, params, recorder=None, csr=None):
     from ..core.coloring import ColoringResult
     from ..sim.vectorized import defective_split_vectorized
 
     classes, metrics, palette = defective_split_vectorized(
-        graph, defect=int(params.get("defect", 1)), recorder=recorder
+        graph, defect=int(params.get("defect", 1)), recorder=recorder, _csr=csr
     )
     return ColoringResult(classes), metrics, palette
 
 
-def _run_linial_faulty_vectorized(graph, params, recorder=None):
+def _run_linial_faulty_vectorized(graph, params, recorder=None, csr=None):
     from ..sim.vectorized import linial_vectorized
 
     res, metrics, palette = linial_vectorized(
@@ -290,6 +292,7 @@ def _run_linial_faulty_vectorized(graph, params, recorder=None):
         defect=int(params.get("defect", 0)),
         recorder=recorder,
         faults=_fault_plan(params),
+        _csr=csr,
     )
     return res, metrics, palette
 
@@ -366,21 +369,21 @@ def _run_linial_resilient(graph, params, recorder=None):
     return res, metrics, palette, info
 
 
-def _run_linial_compiled(graph, params, recorder=None):
+def _run_linial_compiled(graph, params, recorder=None, csr=None):
     from ..sim.compiled import linial_compiled
 
     res, metrics, palette = linial_compiled(
-        graph, defect=int(params.get("defect", 0)), recorder=recorder
+        graph, defect=int(params.get("defect", 0)), recorder=recorder, _csr=csr
     )
     return res, metrics, palette
 
 
-def _run_greedy_compiled(graph, params, recorder=None):
+def _run_greedy_compiled(graph, params, recorder=None, csr=None):
     from ..core.instance import delta_plus_one_instance
     from ..sim.compiled import greedy_list_compiled
 
     instance = delta_plus_one_instance(graph)
-    res = greedy_list_compiled(instance)
+    res = greedy_list_compiled(instance, _csr=csr)
     metrics = _announce_coloring_metrics(graph, instance.space.size, recorder)
     if recorder is not None:
         recorder.finalize(
@@ -392,21 +395,22 @@ def _run_greedy_compiled(graph, params, recorder=None):
     return res, metrics, instance.space.size
 
 
-def _run_defective_split_compiled(graph, params, recorder=None):
+def _run_defective_split_compiled(graph, params, recorder=None, csr=None):
     from ..core.coloring import ColoringResult
     from ..sim.compiled import defective_split_compiled
 
     classes, metrics, palette = defective_split_compiled(
-        graph, defect=int(params.get("defect", 1)), recorder=recorder
+        graph, defect=int(params.get("defect", 1)), recorder=recorder, _csr=csr
     )
     return ColoringResult(classes), metrics, palette
 
 
 def _fk24_cell_config(graph, params):
-    """The cell's (lists, space, defect) — shared by the fast path, the
-    reference path, and the batched twin so all three run the identical
-    instance.  ``slack`` widens every list; ``list_seed`` switches from
-    palette-prefix lists to per-node sampled (gappy) ones."""
+    """The cell's (lists, space, defect) — built once per cell and shared by
+    its run (fast path, reference path or batched twin, so all three run
+    the identical instance) and its validation.  ``slack`` widens every
+    list; ``list_seed`` switches from palette-prefix lists to per-node
+    sampled (gappy) ones."""
     from ..algorithms.fk24 import fk24_lists
 
     defect = int(params.get("defect", 1))
@@ -420,20 +424,25 @@ def _fk24_cell_config(graph, params):
     return lists, space, defect
 
 
-def _run_fk24_vectorized(graph, params, recorder=None):
+def _run_fk24_vectorized(graph, params, recorder=None, csr=None, *, config):
     from ..sim.vectorized import fk24_vectorized
 
-    lists, space, defect = _fk24_cell_config(graph, params)
+    lists, space, defect = config
     res, metrics, palette = fk24_vectorized(
-        graph, lists=lists, space_size=space, defect=defect, recorder=recorder
+        graph,
+        lists=lists,
+        space_size=space,
+        defect=defect,
+        recorder=recorder,
+        _csr=csr,
     )
     return res, metrics, palette
 
 
-def _run_fk24_reference(graph, params, recorder=None):
+def _run_fk24_reference(graph, params, recorder=None, *, config):
     from ..algorithms.fk24 import run_fk24
 
-    lists, space, defect = _fk24_cell_config(graph, params)
+    lists, space, defect = config
     res, metrics, palette = run_fk24(
         graph, lists=lists, space_size=space, defect=defect, recorder=recorder
     )
@@ -492,22 +501,36 @@ def algorithm_names() -> list[str]:
     )
 
 
-def _validate(graph, result, algorithm, params) -> bool:
-    """Vectorized validity check appropriate to the algorithm's contract."""
+def _is_fk24(algorithm: str) -> bool:
+    return algorithm.startswith("fk24")
+
+
+def _validate(graph, result, algorithm, params, csr=None, config=None) -> bool:
+    """Vectorized validity check appropriate to the algorithm's contract.
+
+    ``csr`` is the cell's already-frozen topology (frozen here when
+    ``None``); ``config`` is an fk24 cell's :func:`_fk24_cell_config`,
+    the one its run used.
+    """
     from ..sim.engine import CSRGraph, equal_neighbor_counts
 
-    if algorithm.startswith("fk24"):
-        # arbdefective contract: the defect budget counts same-colored
-        # *out*-neighbors under the result's adoption orientation
+    if _is_fk24(algorithm):
+        # list arbdefective contract: every node takes a color from its own
+        # list, and the defect budget counts same-colored *out*-neighbors
+        # under the result's adoption orientation
         from ..core.validate import validate_arbdefective_plain
 
+        assignment, lists = result.assignment, config[0]
+        if not all(assignment.get(v) in lists[v] for v in graph.nodes):
+            return False
         return bool(
             validate_arbdefective_plain(
                 graph, result, int(params.get("defect", 1))
             ).ok
         )
 
-    csr = CSRGraph.from_networkx(graph)
+    if csr is None:
+        csr = CSRGraph.from_networkx(graph)
     colors = csr.gather(result.assignment)
     same = equal_neighbor_counts(csr, colors)
     default = 1 if algorithm.startswith("defective_split") else 0
@@ -518,6 +541,10 @@ def _validate(graph, result, algorithm, params) -> bool:
 def compute_cell(cell: SweepCell) -> dict[str, Any]:
     """Build the cell's graph, run its algorithm, and return the record.
 
+    The graph is built once and frozen into one
+    :class:`~repro.sim.engine.CSRGraph`, which the fast-path kernel, the
+    record's ``n``/``m``/``delta`` and the validation all share (an fk24
+    cell likewise builds its lists once, for its run and its validation).
     Fast-path and reference-path cells run under a
     :class:`~repro.obs.RunRecorder`, so the record carries the full
     per-round :class:`~repro.obs.RunRecord` (``run_record``) and the
@@ -530,26 +557,36 @@ def compute_cell(cell: SweepCell) -> dict[str, Any]:
     from ..algorithms import registry
     from ..obs import RunRecorder
     from ..sim.backends import backend_of_sweep_algorithm
+    from ..sim.engine import CSRGraph
 
     family_params = dict(cell.family_params)
     algo_params = dict(cell.spec()["algo_params"])
     graph = graphs.family(cell.family, **family_params)
-    delta = max((d for _, d in graph.degree), default=0)
 
     t0 = time.perf_counter()
     palette = None
     recorder = None
+    csr = None
     extra: dict[str, Any] = {}
+    config = (
+        _fk24_cell_config(graph, algo_params) if _is_fk24(cell.algorithm) else None
+    )
+    fk24_kw = {"config": config} if config is not None else {}
     if cell.algorithm in FAST_PATHS:
         engine = backend_of_sweep_algorithm(cell.algorithm).engine
         recorder = RunRecorder(engine=engine, algorithm=cell.algorithm)
+        # one freeze serves the kernel, the cell's delta and its validation
+        with recorder.profiler.phase("csr_build"):
+            csr = CSRGraph.from_networkx(graph)
         result, metrics, palette = FAST_PATHS[cell.algorithm](
-            graph, algo_params, recorder
+            graph, algo_params, recorder, csr=csr, **fk24_kw
         )
     elif cell.algorithm in REFERENCE_PATHS:
         engine = backend_of_sweep_algorithm(cell.algorithm).engine
         recorder = RunRecorder(engine=engine, algorithm=cell.algorithm)
-        out = REFERENCE_PATHS[cell.algorithm](graph, algo_params, recorder)
+        out = REFERENCE_PATHS[cell.algorithm](
+            graph, algo_params, recorder, **fk24_kw
+        )
         if len(out) == 4:  # resilient path also returns restart info
             result, metrics, palette, info = out
             extra["resilience"] = info
@@ -558,6 +595,8 @@ def compute_cell(cell: SweepCell) -> dict[str, Any]:
     else:
         result, metrics = registry.run(cell.algorithm, graph)
     wall = time.perf_counter() - t0
+    if csr is None:
+        csr = CSRGraph.from_networkx(graph)
 
     run_record = recorder.record if recorder is not None else None
     record = dict(cell.spec())
@@ -565,11 +604,11 @@ def compute_cell(cell: SweepCell) -> dict[str, Any]:
         key=cell_key(cell),
         schema=SWEEP_CACHE_SCHEMA,
         status="ok",
-        n=graph.number_of_nodes(),
-        m=graph.number_of_edges(),
-        delta=delta,
+        n=csr.n,
+        m=csr.num_directed_edges // 2,
+        delta=int(csr.degrees.max()) if csr.n else 0,
         colors=result.num_colors(),
-        valid=_validate(graph, result, cell.algorithm, algo_params),
+        valid=_validate(graph, result, cell.algorithm, algo_params, csr, config),
         palette=palette,
         metrics=metrics.summary() if metrics is not None else None,
         wall_s=wall,
@@ -615,10 +654,13 @@ def failed_record(
     return record
 
 
-def _run_batched(algorithm: str, built: list[tuple]) -> list[Any]:
+def _run_batched(
+    algorithm: str, built: list[tuple], fk24_configs: list[tuple | None]
+) -> list[Any]:
     """Run one batchable algorithm over pre-built ``(cell, graph, params,
     recorder)`` tuples; one ``(result, metrics, palette)`` or exception per
-    cell, matching :data:`FAST_PATHS` output cell for cell."""
+    cell, matching :data:`FAST_PATHS` output cell for cell.  An fk24 batch
+    runs on ``fk24_configs``, one :func:`_fk24_cell_config` per cell."""
     from ..core.coloring import ColoringResult
     from ..core.instance import delta_plus_one_instance
     from ..sim.batch import (
@@ -696,14 +738,11 @@ def _run_batched(algorithm: str, built: list[tuple]) -> list[Any]:
     if algorithm == "fk24_vectorized":
         from ..sim.batch import fk24_vectorized_batch
 
-        configs = [
-            _fk24_cell_config(g, p) for g, p in zip(gs, params_list)
-        ]
         return fk24_vectorized_batch(
             gs,
-            lists=[c[0] for c in configs],
-            space_size=[c[1] for c in configs],
-            defect=[c[2] for c in configs],
+            lists=[c[0] for c in fk24_configs],
+            space_size=[c[1] for c in fk24_configs],
+            defect=[c[2] for c in fk24_configs],
             recorders=recs,
             return_exceptions=True,
         )
@@ -757,10 +796,15 @@ def compute_cells_batched(cells: Sequence[SweepCell]) -> list[dict[str, Any]]:
         positions.append(pos)
     if built:
         t0 = time.perf_counter()
-        outcomes = _run_batched(algorithm, built)
+        configs = (
+            [_fk24_cell_config(graph, params) for _, graph, params, _ in built]
+            if _is_fk24(algorithm)
+            else [None] * len(built)
+        )
+        outcomes = _run_batched(algorithm, built, configs)
         wall = time.perf_counter() - t0
-        for pos, (cell, graph, params, rec), outcome in zip(
-            positions, built, outcomes
+        for pos, (cell, graph, params, rec), config, outcome in zip(
+            positions, built, configs, outcomes
         ):
             if isinstance(outcome, BaseException):
                 out[pos] = failed_record(
@@ -778,7 +822,7 @@ def compute_cells_batched(cells: Sequence[SweepCell]) -> list[dict[str, Any]]:
                 m=graph.number_of_edges(),
                 delta=max((d for _, d in graph.degree), default=0),
                 colors=result.num_colors(),
-                valid=_validate(graph, result, algorithm, params),
+                valid=_validate(graph, result, algorithm, params, config=config),
                 palette=palette,
                 metrics=metrics.summary() if metrics is not None else None,
                 wall_s=wall,

@@ -13,19 +13,32 @@ The families cover what the paper's algorithms are sensitive to:
 * **trees / hypercubes / tori** — structured sparse instances;
 * **book / blow-up graphs** — high-degree hubs next to low-degree fringes,
   the regime where per-color defects (list defective coloring) pay off.
+
+:func:`random_regular` is a port of networkx's Steger–Wormald pairing
+algorithm rather than a call into it, so its graphs no longer depend on
+the installed networkx version: the same ``(n, degree, seed)`` yields the
+same nodes, edges and adjacency order everywhere.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
+from operator import itemgetter
 
 import networkx as nx
 
 
+def _repr_rank(labels) -> dict:
+    """``label -> rank`` of each label in ``repr`` order (so 10 ranks before 2)."""
+    return {v: i for i, v in enumerate(sorted(labels, key=repr))}
+
+
 def _relabel(g: nx.Graph) -> nx.Graph:
-    """Relabel nodes to 0..n-1 deterministically (sorted original labels)."""
-    mapping = {v: i for i, v in enumerate(sorted(g.nodes, key=repr))}
-    return nx.relabel_nodes(g, mapping)
+    """Relabel nodes to 0..n-1 deterministically: each node becomes the rank
+    of its original label sorted by ``repr`` (not by value, so 10 ranks
+    before 2)."""
+    return nx.relabel_nodes(g, _repr_rank(g.nodes))
 
 
 def ring(n: int) -> nx.Graph:
@@ -56,13 +69,91 @@ def star(n: int) -> nx.Graph:
     return nx.star_graph(n - 1)
 
 
+def _pairing_edges(n: int, degree: int, rng: random.Random) -> set[tuple[int, int]]:
+    """Edge set of a random ``degree``-regular graph on ``0..n-1``.
+
+    The Steger–Wormald pairing loop of networkx 3.x's
+    ``random_regular_graph`` (its ``_try_creation``/``_suitable``
+    helpers), ported line for line under networkx's BSD-3-Clause license
+    (Copyright (c) 2004-2025, NetworkX Developers).  It draws from ``rng``
+    in the same order and fills the set by the same sequence of ``add``
+    calls, so the set, and hence its iteration order, is identical.
+
+    A. Steger and N. Wormald, Generating random regular graphs quickly,
+    Combinatorics, Probability and Computing 8 (1999), 377-396.
+    """
+
+    def suitable(edges, potential_edges):
+        # whether an unused pair is left among the unmatched stubs; the
+        # in-loop swap of s1 is networkx's and is kept for parity
+        if not potential_edges:
+            return True
+        for s1 in potential_edges:
+            for s2 in potential_edges:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def try_creation():
+        edges = set()
+        stubs = list(range(n)) * degree
+        while stubs:
+            potential_edges = defaultdict(int)
+            rng.shuffle(stubs)
+            stubiter = iter(stubs)
+            for s1, s2 in zip(stubiter, stubiter):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and ((s1, s2) not in edges):
+                    edges.add((s1, s2))
+                else:
+                    potential_edges[s1] += 1
+                    potential_edges[s2] += 1
+            if not suitable(edges, potential_edges):
+                return None
+            stubs = [
+                node
+                for node, potential in potential_edges.items()
+                for _ in range(potential)
+            ]
+        return edges
+
+    edges = try_creation()
+    while edges is None:
+        edges = try_creation()
+    return edges
+
+
 def random_regular(n: int, degree: int, seed: int) -> nx.Graph:
-    """Random ``degree``-regular graph on ``n`` nodes (``n * degree`` even)."""
+    """Random ``degree``-regular graph on ``n`` nodes (``n * degree`` even).
+
+    The graph equals ``_relabel(nx.random_regular_graph(degree, n,
+    seed=seed))`` in node order, per-node adjacency order and edge order,
+    but is built once instead of twice: the pairing
+    (:func:`_pairing_edges`) runs on ``0..n-1`` and the graph is emitted
+    already relabeled.  ``_relabel`` copies the nodes in order, then each
+    edge ``(u, w)`` with ``u < w``, ``u`` ascending and ``w`` in ``u``'s
+    adjacency order.  That adjacency order is the pairing set's order, so
+    the copied edge sequence is the set's edges stably sorted by their
+    smaller end.
+    """
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     if degree >= n:
         raise ValueError(f"degree {degree} must be < n {n}")
     if (n * degree) % 2:
         raise ValueError("n * degree must be even")
-    return _relabel(nx.random_regular_graph(degree, n, seed=seed))
+    rank = _repr_rank(range(n))
+    g = nx.Graph()
+    g.add_nodes_from(rank[v] for v in range(n))
+    if degree:
+        edges = sorted(_pairing_edges(n, degree, random.Random(seed)), key=itemgetter(0))
+        g.add_edges_from((rank[u], rank[w]) for u, w in edges)
+    return g
 
 
 def gnp(n: int, p: float, seed: int) -> nx.Graph:

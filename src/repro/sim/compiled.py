@@ -255,6 +255,7 @@ def _greedy_kernel(
 def greedy_list_compiled(
     instance,
     order: list[int] | None = None,
+    _csr: CSRGraph | None = None,
 ) -> ColoringResult:
     """Compiled twin of :func:`repro.sim.vectorized.greedy_list_vectorized`.
 
@@ -262,7 +263,8 @@ def greedy_list_compiled(
     order, first-free-color rule — with the per-node scan jitted when
     numba is available and run as the vectorized per-node numpy loop
     otherwise.  Outputs match the vectorized (and hence the reference)
-    greedy node for node.
+    greedy node for node.  ``_csr`` (internal) reuses an already-built
+    CSR of ``instance.graph``.
     """
     if instance.directed:
         raise ValueError("greedy_list_compiled expects an undirected instance")
@@ -271,7 +273,7 @@ def greedy_list_compiled(
             "greedy_list_compiled handles zero-defect instances only; "
             "use repro.algorithms.greedy.greedy_list_coloring for defects"
         )
-    csr = CSRGraph.from_networkx(instance.graph)
+    csr = _csr if _csr is not None else CSRGraph.from_networkx(instance.graph)
     list_indptr, list_values = ragged_lists(csr, instance.lists)
     final = np.full(csr.n, -1, dtype=np.int64)
     dense_order = np.array(
@@ -307,17 +309,18 @@ def defective_split_compiled(
     defect: int,
     validate: bool = True,
     recorder: "RunRecorder | None" = None,
+    _csr: CSRGraph | None = None,
 ) -> tuple[dict[int, int], RunMetrics, int]:
     """Compiled twin of
     :func:`repro.sim.vectorized.defective_split_vectorized`: the Linial
     stage runs through :func:`linial_compiled`, the defect validation
     through the shared integer-bincount kernel, with the identical
-    error message and finalize contract.
+    error message and finalize contract (``_csr`` included).
     """
     if defect < 0:
         raise ValueError(f"defect must be >= 0, got {defect}")
     with _phase(recorder, "csr_build"):
-        csr = CSRGraph.from_networkx(graph)
+        csr = _csr if _csr is not None else CSRGraph.from_networkx(graph)
     result, metrics, palette = linial_compiled(
         graph, defect=defect, recorder=recorder, _finalize_recorder=False, _csr=csr
     )

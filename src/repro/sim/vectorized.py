@@ -308,6 +308,7 @@ def schedule_reduction_vectorized(
     palettes_size: int,
     recorder: "RunRecorder | None" = None,
     _finalize_recorder: bool = True,
+    _csr: CSRGraph | None = None,
 ) -> tuple[ColoringResult, RunMetrics]:
     """Vectorized twin of the one-class-per-round list reduction
     (:class:`repro.algorithms.reduction.ScheduledListColoring` with the
@@ -318,12 +319,13 @@ def schedule_reduction_vectorized(
     metrics are synthesized to match the reference run exactly (each node
     sends its color once to every neighbor, one round after picking).
     ``recorder`` rows carry the per-round uncolored count (nodes whose
-    class has not picked yet).
+    class has not picked yet).  ``_csr`` (internal) reuses an
+    already-built CSR of ``graph``, as in :func:`linial_vectorized`.
     """
     from .message import index_bits
 
     with _phase(recorder, "csr_build"):
-        csr = CSRGraph.from_networkx(graph)
+        csr = _csr if _csr is not None else CSRGraph.from_networkx(graph)
     n = csr.n
     src, dst = csr.src, csr.indices
     cls = csr.gather(schedule_colors)
@@ -374,6 +376,7 @@ def schedule_reduction_vectorized(
 def greedy_list_vectorized(
     instance,
     order: list[int] | None = None,
+    _csr: CSRGraph | None = None,
 ) -> ColoringResult:
     """Fast path for :func:`repro.algorithms.greedy.greedy_list_coloring`
     on **zero-defect** list instances (the (degree+1)-list case).
@@ -388,7 +391,8 @@ def greedy_list_vectorized(
 
     Raises ``ValueError`` on directed instances, on nonzero defects (the
     reference's budget semantics are inherently sequential), and when the
-    greedy gets stuck.
+    greedy gets stuck.  ``_csr`` (internal) reuses an already-built CSR of
+    ``instance.graph``.
     """
     if instance.directed:
         raise ValueError("greedy_list_vectorized expects an undirected instance")
@@ -397,7 +401,7 @@ def greedy_list_vectorized(
             "greedy_list_vectorized handles zero-defect instances only; "
             "use repro.algorithms.greedy.greedy_list_coloring for defects"
         )
-    csr = CSRGraph.from_networkx(instance.graph)
+    csr = _csr if _csr is not None else CSRGraph.from_networkx(instance.graph)
     list_indptr, list_values = ragged_lists(csr, instance.lists)
     final = np.full(csr.n, -1, dtype=np.int64)
     # Default order is *sorted node labels* — the reference greedy's
@@ -423,6 +427,7 @@ def defective_split_vectorized(
     defect: int,
     validate: bool = True,
     recorder: "RunRecorder | None" = None,
+    _csr: CSRGraph | None = None,
 ) -> tuple[dict[int, int], RunMetrics, int]:
     """Fast path for the defective-split decomposition step
     (:func:`repro.algorithms.defective.defective_class_partition`).
@@ -435,16 +440,17 @@ def defective_split_vectorized(
     integer bincount) instead of the reference's per-edge Python scan;
     with a ``recorder`` attached it is timed as a ``validate`` phase.
 
-    The topology is frozen into a :class:`CSRGraph` exactly once: the same
-    CSR drives the Linial run, the defect validation, and the finalized
-    record's ``n``/``m`` (asserted against the run's own node/edge counts),
-    so validation can never silently audit a different adjacency than the
-    one the coloring was computed on.
+    The topology is frozen into a :class:`CSRGraph` exactly once (or taken
+    from ``_csr``, internal): the same CSR drives the Linial run, the
+    defect validation, and the finalized record's ``n``/``m`` (asserted
+    against the run's own node/edge counts), so validation can never
+    silently audit a different adjacency than the one the coloring was
+    computed on.
     """
     if defect < 0:
         raise ValueError(f"defect must be >= 0, got {defect}")
     with _phase(recorder, "csr_build"):
-        csr = CSRGraph.from_networkx(graph)
+        csr = _csr if _csr is not None else CSRGraph.from_networkx(graph)
     result, metrics, palette = linial_vectorized(
         graph, defect=defect, recorder=recorder, _finalize_recorder=False, _csr=csr
     )
@@ -476,6 +482,7 @@ def defective_split_vectorized(
 def classic_delta_plus_one_vectorized(
     graph: nx.Graph,
     recorder: "RunRecorder | None" = None,
+    _csr: CSRGraph | None = None,
 ) -> tuple[ColoringResult, RunMetrics]:
     """Vectorized classic pipeline: Linial then the schedule reduction.
 
@@ -483,21 +490,29 @@ def classic_delta_plus_one_vectorized(
     :func:`repro.algorithms.reduction.classic_delta_plus_one` (tests
     compare node for node); usable at n in the hundreds of thousands.
     A ``recorder`` accumulates rows across both stages and is finalized
-    once against the merged metrics.
+    once against the merged metrics.  The topology is frozen once (or
+    taken from ``_csr``, internal) and shared by both stages.
     """
+    with _phase(recorder, "csr_build"):
+        csr = _csr if _csr is not None else CSRGraph.from_networkx(graph)
     pre, m1, _palette = linial_vectorized(
-        graph, recorder=recorder, _finalize_recorder=False
+        graph, recorder=recorder, _finalize_recorder=False, _csr=csr
     )
-    delta = max((d for _, d in graph.degree), default=0)
+    delta = int(csr.degrees.max()) if csr.n else 0
     res, m2 = schedule_reduction_vectorized(
-        graph, pre.assignment, delta + 1, recorder=recorder, _finalize_recorder=False
+        graph,
+        pre.assignment,
+        delta + 1,
+        recorder=recorder,
+        _finalize_recorder=False,
+        _csr=csr,
     )
     merged = m1.merge_sequential(m2)
     if recorder is not None:
         recorder.finalize(
             merged,
-            n=graph.number_of_nodes(),
-            m=graph.number_of_edges(),
+            n=csr.n,
+            m=csr.num_directed_edges // 2,
             palette=delta + 1,
             algorithm=recorder.algorithm or "classic_vectorized",
         )

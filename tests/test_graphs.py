@@ -26,6 +26,7 @@ from repro.graphs import (
     star,
     torus,
 )
+from repro.graphs.generators import _relabel
 
 
 class TestGenerators:
@@ -56,10 +57,11 @@ class TestGenerators:
         assert sorted(g.nodes) == list(range(20))
 
     def test_random_regular_parity(self):
-        with pytest.raises(ValueError):
-            random_regular(5, 3, seed=0)
-        with pytest.raises(ValueError):
-            random_regular(4, 4, seed=0)
+        # odd n * degree, degree >= n, and degree < 0 (which networkx
+        # would reject with its own NetworkXError) all raise ValueError
+        for n, degree in [(5, 3), (1001, 3), (4, 4), (3, 7), (6, -1), (6, -2)]:
+            with pytest.raises(ValueError):
+                random_regular(n, degree, seed=0)
 
     def test_gnp_bounds(self):
         g = gnp(30, 0.2, seed=1)
@@ -106,6 +108,54 @@ class TestGenerators:
         assert g.number_of_nodes() == 5
         with pytest.raises(KeyError):
             family("nope")
+
+
+def _same_graph(a: nx.Graph, b: nx.Graph) -> bool:
+    """Equal node order, edge order and per-node adjacency order."""
+    return (
+        list(a.nodes) == list(b.nodes)
+        and list(a.edges) == list(b.edges)
+        and all(list(a.adj[v]) == list(b.adj[v]) for v in b)
+    )
+
+
+def _networkx_regular(n: int, degree: int, seed: int) -> nx.Graph:
+    """The networkx builder ``random_regular`` ports, relabeled as before."""
+    return _relabel(nx.random_regular_graph(degree, n, seed=seed))
+
+
+class TestRandomRegularPort:
+    """``random_regular`` reproduces networkx's pairing graph exactly."""
+
+    @pytest.mark.parametrize(
+        "n", [*range(2, 18), 31, 32, 33, 64, 101, 256, 500, 1001]
+    )
+    def test_matches_networkx_builder(self, n):
+        # every degree up to 11 (d = n - 1 included: complete graphs, the
+        # retry-heavy end of the pairing loop) and six seeds
+        for degree in range(min(n - 1, 11) + 1):
+            if n * degree % 2:
+                continue
+            for seed in range(6):
+                assert _same_graph(
+                    random_regular(n, degree, seed),
+                    _networkx_regular(n, degree, seed),
+                ), (n, degree, seed)
+
+    def test_matches_networkx_builder_at_sweep_size(self):
+        assert _same_graph(random_regular(5000, 8, 1), _networkx_regular(5000, 8, 1))
+
+    def test_does_not_call_networkx_builder(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("nx.random_regular_graph called")
+
+        monkeypatch.setattr(nx, "random_regular_graph", refuse)
+        assert random_regular(30, 4, seed=2).number_of_edges() == 60
+
+    def test_relabel_ranks_by_repr(self):
+        # "10" sorts before "2", so label 10 gets rank 1 and label 2 rank 2
+        g = nx.Graph([(2, 10), (10, 1)])
+        assert dict(zip(g.nodes, _relabel(g).nodes)) == {2: 2, 10: 1, 1: 0}
 
 
 class TestBalancedOrientation:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.experiments.sweep import (
+    FAST_PATHS,
     SweepCell,
     cell_key,
     compute_cell,
@@ -74,6 +75,176 @@ class TestCells:
             )
         )
         assert rec["valid"] is True and rec["palette"] is not None
+
+
+def _count_freezes(monkeypatch) -> list:
+    """Record every ``CSRGraph.from_networkx`` call from now on."""
+    from repro.sim.engine import CSRGraph
+
+    calls = []
+    real = CSRGraph.from_networkx.__func__
+
+    def spy(cls, graph):
+        calls.append(graph)
+        return real(cls, graph)
+
+    monkeypatch.setattr(CSRGraph, "from_networkx", classmethod(spy))
+    return calls
+
+
+def _old_path_record(cell) -> dict:
+    """The analysis fields of ``compute_cell``'s record as the code before
+    the single freeze computed them: the graph from networkx's builder,
+    every kernel stage freezing its own CSR, and the coloring checked by
+    the :mod:`repro.core.validate` oracles."""
+    import networkx as nx
+
+    from repro.algorithms.fk24 import fk24_lists
+    from repro.core.validate import (
+        validate_arbdefective_plain,
+        validate_proper_coloring,
+    )
+    from repro.graphs.generators import _relabel
+    from repro.obs import RunRecorder
+    from repro.sim.backends import backend_of_sweep_algorithm
+    from repro.sim.vectorized import (
+        fk24_vectorized,
+        linial_vectorized,
+        schedule_reduction_vectorized,
+    )
+
+    p = dict(cell.family_params)
+    graph = _relabel(nx.random_regular_graph(p["degree"], p["n"], seed=p["seed"]))
+    delta = max(d for _, d in graph.degree)
+    rec = RunRecorder(
+        engine=backend_of_sweep_algorithm(cell.algorithm).engine,
+        algorithm=cell.algorithm,
+    )
+    if cell.algorithm == "fk24_vectorized":
+        lists, space = fk24_lists(graph, 1)
+        result, metrics, palette = fk24_vectorized(
+            graph, lists=lists, space_size=space, defect=1, recorder=rec
+        )
+        valid = validate_arbdefective_plain(graph, result, 1).ok and all(
+            result.assignment[v] in lists[v] for v in graph
+        )
+    else:
+        classic = cell.algorithm == "classic_vectorized"
+        result, metrics, palette = linial_vectorized(
+            graph, recorder=rec, _finalize_recorder=not classic
+        )
+        if classic:
+            result, m2 = schedule_reduction_vectorized(
+                graph, result.assignment, delta + 1, recorder=rec,
+                _finalize_recorder=False,
+            )
+            metrics = metrics.merge_sequential(m2)
+            palette = None
+            rec.finalize(
+                metrics,
+                n=graph.number_of_nodes(),
+                m=graph.number_of_edges(),
+                palette=delta + 1,
+                algorithm=cell.algorithm,
+            )
+        valid = validate_proper_coloring(graph, result).ok
+    return {
+        "n": graph.number_of_nodes(),
+        "m": graph.number_of_edges(),
+        "delta": delta,
+        "colors": result.num_colors(),
+        "valid": valid,
+        "palette": palette,
+        "metrics": metrics.summary(),
+        "run_record": rec.record.to_dict(),
+    }
+
+
+class TestSingleFreeze:
+    """A fast-path cell builds its graph once and freezes its CSR once."""
+
+    @pytest.mark.parametrize("algorithm", sorted(FAST_PATHS))
+    def test_compute_cell_freezes_once(self, monkeypatch, algorithm):
+        cell = SweepCell.make(
+            "random_regular", {"n": 300, "degree": 8, "seed": 4}, algorithm
+        )
+        calls = _count_freezes(monkeypatch)
+        compute_cell(cell)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "algorithm", ["linial_vectorized", "classic_vectorized", "fk24_vectorized"]
+    )
+    def test_record_matches_old_path(self, algorithm):
+        cell = SweepCell.make(
+            "random_regular", {"n": 300, "degree": 8, "seed": 4}, algorithm
+        )
+        record = compute_cell(cell)
+        want = _old_path_record(cell)
+        got = {k: record[k] for k in want}
+        for r in (got["run_record"], want["run_record"]):
+            r.pop("timings")  # clock fields, like wall_s
+        assert got == want
+
+    def test_classic_pipeline_freezes_once(self, monkeypatch):
+        from repro.graphs import random_regular
+        from repro.sim.vectorized import classic_delta_plus_one_vectorized
+
+        graph = random_regular(300, 8, seed=4)
+        calls = _count_freezes(monkeypatch)
+        classic_delta_plus_one_vectorized(graph)
+        assert len(calls) == 1
+
+
+def _tamper_first_node(result, lists):
+    """``result`` with its first node recolored to a fresh color outside
+    its list; no neighbor shares it, so the arbdefect budget still holds."""
+    from repro.core.coloring import ColoringResult
+
+    assignment = dict(result.assignment)
+    v = next(iter(assignment))
+    assignment[v] = 1 + max(c for lst in lists.values() for c in lst)
+    return ColoringResult(assignment, result.orientation)
+
+
+class TestFk24ListMembership:
+    """An fk24 cell whose coloring leaves a node's list is not ``valid``."""
+
+    CELL = {"n": 60, "degree": 4, "seed": 2}
+
+    def test_compute_cell_rejects_off_list_color(self, monkeypatch):
+        import repro.sim.vectorized as vec
+
+        real = vec.fk24_vectorized
+
+        def tampered(graph, lists=None, **kwargs):
+            result, metrics, palette = real(graph, lists=lists, **kwargs)
+            return _tamper_first_node(result, lists), metrics, palette
+
+        cell = SweepCell.make("random_regular", self.CELL, "fk24_vectorized")
+        assert compute_cell(cell)["valid"] is True
+        monkeypatch.setattr(vec, "fk24_vectorized", tampered)
+        assert compute_cell(cell)["valid"] is False
+
+    def test_batched_cells_reject_off_list_color(self, monkeypatch):
+        import repro.sim.batch as batch
+        from repro.experiments.sweep import compute_cells_batched
+
+        real = batch.fk24_vectorized_batch
+
+        def tampered(graphs, lists, **kwargs):
+            outs = real(graphs, lists=lists, **kwargs)
+            res, metrics, palette = outs[0]
+            outs[0] = (_tamper_first_node(res, lists[0]), metrics, palette)
+            return outs
+
+        cells = [
+            SweepCell.make("random_regular", dict(self.CELL, seed=s), "fk24_vectorized")
+            for s in (2, 3)
+        ]
+        monkeypatch.setattr(batch, "fk24_vectorized_batch", tampered)
+        records = compute_cells_batched(cells)
+        assert [r["valid"] for r in records] == [False, True]
 
 
 class TestPartitioning:
