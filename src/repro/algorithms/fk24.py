@@ -45,6 +45,7 @@ from typing import Any, Iterable, Mapping
 import networkx as nx
 
 from ..core.coloring import ColoringResult, orientation_from_priority
+from ..sim.engine import CSRGraph
 from ..sim.message import Message, int_bits
 from ..sim.metrics import RunMetrics
 from ..sim.network import SyncNetwork
@@ -74,7 +75,7 @@ def fk24_round_budget(lists: Iterable[Iterable[int]], n: int) -> int:
 
 
 def fk24_lists(
-    graph: nx.Graph,
+    graph: "nx.Graph | CSRGraph",
     defect: int = 1,
     slack: int = 0,
     space_size: int | None = None,
@@ -86,9 +87,14 @@ def fk24_lists(
     ``seed=None`` the lists are palette prefixes (the densest packing);
     otherwise each node samples its list from the space with a per-node
     seeded RNG, which is what the sweeps use to exercise gappy lists.
+    ``graph`` may be a frozen :class:`~repro.sim.engine.CSRGraph`; the
+    lists depend only on its nodes and degrees, so both forms give the same.
     """
-    degrees = dict(graph.degree)
-    need = {v: fk24_list_size(degrees[v], defect) + slack for v in graph.nodes}
+    if isinstance(graph, CSRGraph):
+        degrees = dict(zip(graph.nodes, graph.degrees.tolist()))
+    else:
+        degrees = dict(graph.degree)
+    need = {v: fk24_list_size(d, defect) + slack for v, d in degrees.items()}
     space = max(need.values(), default=1) if space_size is None else space_size
     if space < max(need.values(), default=1):
         raise ValueError(
@@ -96,7 +102,7 @@ def fk24_lists(
             f"({max(need.values())})"
         )
     lists: dict[int, tuple[int, ...]] = {}
-    for idx, v in enumerate(sorted(graph.nodes)):
+    for idx, v in enumerate(sorted(degrees)):
         k = need[v]
         if seed is None:
             lists[v] = tuple(range(k))

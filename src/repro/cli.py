@@ -171,8 +171,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_report_obs(args: argparse.Namespace) -> int:
-    from .analysis.report import load_cache_run_records, render_obs_report
-    from .obs import read_jsonl
+    """Render the run records; exit 1 when there are none or when any
+    reference/vectorized pair's round accounting differs (MISMATCH)."""
+    from .analysis.report import (
+        load_cache_run_records,
+        pair_cross_engine,
+        render_obs_report,
+    )
+    from .obs import compare_round_accounting, read_jsonl
 
     records = []
     if args.cache_dir:
@@ -191,7 +197,11 @@ def _cmd_report_obs(args: argparse.Namespace) -> int:
         except (OSError, ValueError, KeyError) as exc:
             raise SystemExit(f"cannot read run records from {args.runs}: {exc}")
     print(render_obs_report(records))
-    return 0 if records else 1
+    mismatched = any(
+        not compare_round_accounting(ref, vec)["accounting_equal"]
+        for _label, ref, vec in pair_cross_engine(records)
+    )
+    return 0 if records and not mismatched else 1
 
 
 def _cmd_selftest(_args: argparse.Namespace) -> int:

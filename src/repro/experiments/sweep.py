@@ -208,9 +208,59 @@ class CellResult:
 
 
 # ----------------------------------------------------------------------
+# cell graphs
+# ----------------------------------------------------------------------
+class _CellGraph:
+    """One cell's graph: the CSR its kernels and validation read, and the
+    networkx graph only for the paths that ask for it.
+
+    A family with an edge emitter (:func:`repro.graphs.family_edges`) is
+    generated as an edge array, which :meth:`freeze` turns straight into a
+    :class:`~repro.sim.engine.CSRGraph`.  :attr:`graph` builds the
+    networkx graph from the same edges on first use and adds the build
+    time to ``graph_build_s``, so a cell can keep graph construction out
+    of ``wall_s``.  Any other family is built as a networkx graph here.
+    """
+
+    def __init__(self, family: str, params: Mapping[str, Any]) -> None:
+        from .. import graphs
+
+        self.family = family
+        self.graph_build_s = 0.0
+        self._emitted = graphs.family_edges(family, **params)
+        self._graph = (
+            graphs.family(family, **params) if self._emitted is None else None
+        )
+        self._csr = None
+
+    @property
+    def graph(self):
+        """The cell's networkx graph, built on first use."""
+        if self._graph is None:
+            from .. import graphs
+
+            t0 = time.perf_counter()
+            self._graph = graphs.family_from_edges(self.family, *self._emitted)
+            self.graph_build_s += time.perf_counter() - t0
+        return self._graph
+
+    def freeze(self):
+        """The cell's CSR, frozen on the first call."""
+        if self._csr is None:
+            from ..sim.engine import CSRGraph
+
+            self._csr = (
+                CSRGraph.from_networkx(self._graph)
+                if self._emitted is None
+                else CSRGraph.from_edges(*self._emitted)
+            )
+        return self._csr
+
+
+# ----------------------------------------------------------------------
 # algorithm dispatch
 # ----------------------------------------------------------------------
-def _announce_coloring_metrics(graph, space_size: int, recorder):
+def _announce_coloring_metrics(n: int, m: int, space_size: int, recorder):
     """Synthesized accounting for sequential solvers publishing a coloring.
 
     The sequential greedy has no distributed execution to account, so both
@@ -219,16 +269,16 @@ def _announce_coloring_metrics(graph, space_size: int, recorder):
     every neighbor — making ``greedy`` vs ``greedy_vectorized`` a valid
     cross-engine equivalence pair (identical per-round rows by
     construction, same bit convention as the schedule reduction's
-    announcements).
+    announcements).  The ``recorder``, if any, is finalized on it.
     """
     from ..sim.engine import record_uniform_round, synthesized_metrics
     from ..sim.message import index_bits
 
-    metrics = synthesized_metrics(graph.number_of_nodes())
+    metrics = synthesized_metrics(n)
     bits = index_bits(max(2, space_size))
-    record_uniform_round(
-        metrics, recorder, 2 * graph.number_of_edges(), bits, uncolored=0
-    )
+    record_uniform_round(metrics, recorder, 2 * m, bits, uncolored=0)
+    if recorder is not None:
+        recorder.finalize(metrics, n=n, m=m, palette=space_size)
     return metrics
 
 
@@ -239,62 +289,54 @@ def _fault_plan(params: Mapping[str, Any]):
     return FaultPlan.from_dict(dict(params.get("faults") or {}))
 
 
-def _run_linial_vectorized(graph, params, recorder=None, csr=None):
+# Fast paths take the cell's _CellGraph: the kernels read its CSR, and only
+# the greedy paths, whose instances are networkx-based, ask for its graph.
+def _run_linial_vectorized(cg, params, recorder=None):
     from ..sim.vectorized import linial_vectorized
 
-    res, metrics, palette = linial_vectorized(
-        graph, defect=int(params.get("defect", 0)), recorder=recorder, _csr=csr
+    return linial_vectorized(
+        cg.freeze(), defect=int(params.get("defect", 0)), recorder=recorder
     )
-    return res, metrics, palette
 
 
-def _run_classic_vectorized(graph, params, recorder=None, csr=None):
+def _run_classic_vectorized(cg, params, recorder=None):
     from ..sim.vectorized import classic_delta_plus_one_vectorized
 
-    res, metrics = classic_delta_plus_one_vectorized(
-        graph, recorder=recorder, _csr=csr
-    )
+    res, metrics = classic_delta_plus_one_vectorized(cg.freeze(), recorder=recorder)
     return res, metrics, None
 
 
-def _run_greedy_vectorized(graph, params, recorder=None, csr=None):
+def _run_greedy_vectorized(cg, params, recorder=None):
     from ..core.instance import delta_plus_one_instance
     from ..sim.vectorized import greedy_list_vectorized
 
-    instance = delta_plus_one_instance(graph)
+    csr = cg.freeze()
+    instance = delta_plus_one_instance(cg.graph)
     res = greedy_list_vectorized(instance, _csr=csr)
-    metrics = _announce_coloring_metrics(graph, instance.space.size, recorder)
-    if recorder is not None:
-        recorder.finalize(
-            metrics,
-            n=graph.number_of_nodes(),
-            m=graph.number_of_edges(),
-            palette=instance.space.size,
-        )
-    return res, metrics, instance.space.size
+    space = instance.space.size
+    n, m = csr.n, csr.num_directed_edges // 2
+    return res, _announce_coloring_metrics(n, m, space, recorder), space
 
 
-def _run_defective_split(graph, params, recorder=None, csr=None):
+def _run_defective_split(cg, params, recorder=None):
     from ..core.coloring import ColoringResult
     from ..sim.vectorized import defective_split_vectorized
 
     classes, metrics, palette = defective_split_vectorized(
-        graph, defect=int(params.get("defect", 1)), recorder=recorder, _csr=csr
+        cg.freeze(), defect=int(params.get("defect", 1)), recorder=recorder
     )
     return ColoringResult(classes), metrics, palette
 
 
-def _run_linial_faulty_vectorized(graph, params, recorder=None, csr=None):
+def _run_linial_faulty_vectorized(cg, params, recorder=None):
     from ..sim.vectorized import linial_vectorized
 
-    res, metrics, palette = linial_vectorized(
-        graph,
+    return linial_vectorized(
+        cg.freeze(),
         defect=int(params.get("defect", 0)),
         recorder=recorder,
         faults=_fault_plan(params),
-        _csr=csr,
     )
-    return res, metrics, palette
 
 
 def _run_linial_reference(graph, params, recorder=None):
@@ -319,15 +361,9 @@ def _run_greedy_reference(graph, params, recorder=None):
 
     instance = delta_plus_one_instance(graph)
     res = greedy_list_coloring(instance)
-    metrics = _announce_coloring_metrics(graph, instance.space.size, recorder)
-    if recorder is not None:
-        recorder.finalize(
-            metrics,
-            n=graph.number_of_nodes(),
-            m=graph.number_of_edges(),
-            palette=instance.space.size,
-        )
-    return res, metrics, instance.space.size
+    space = instance.space.size
+    n, m = graph.number_of_nodes(), graph.number_of_edges()
+    return res, _announce_coloring_metrics(n, m, space, recorder), space
 
 
 def _run_linial_faulty_reference(graph, params, recorder=None):
@@ -369,38 +405,32 @@ def _run_linial_resilient(graph, params, recorder=None):
     return res, metrics, palette, info
 
 
-def _run_linial_compiled(graph, params, recorder=None, csr=None):
+def _run_linial_compiled(cg, params, recorder=None):
     from ..sim.compiled import linial_compiled
 
-    res, metrics, palette = linial_compiled(
-        graph, defect=int(params.get("defect", 0)), recorder=recorder, _csr=csr
+    return linial_compiled(
+        cg.freeze(), defect=int(params.get("defect", 0)), recorder=recorder
     )
-    return res, metrics, palette
 
 
-def _run_greedy_compiled(graph, params, recorder=None, csr=None):
+def _run_greedy_compiled(cg, params, recorder=None):
     from ..core.instance import delta_plus_one_instance
     from ..sim.compiled import greedy_list_compiled
 
-    instance = delta_plus_one_instance(graph)
+    csr = cg.freeze()
+    instance = delta_plus_one_instance(cg.graph)
     res = greedy_list_compiled(instance, _csr=csr)
-    metrics = _announce_coloring_metrics(graph, instance.space.size, recorder)
-    if recorder is not None:
-        recorder.finalize(
-            metrics,
-            n=graph.number_of_nodes(),
-            m=graph.number_of_edges(),
-            palette=instance.space.size,
-        )
-    return res, metrics, instance.space.size
+    space = instance.space.size
+    n, m = csr.n, csr.num_directed_edges // 2
+    return res, _announce_coloring_metrics(n, m, space, recorder), space
 
 
-def _run_defective_split_compiled(graph, params, recorder=None, csr=None):
+def _run_defective_split_compiled(cg, params, recorder=None):
     from ..core.coloring import ColoringResult
     from ..sim.compiled import defective_split_compiled
 
     classes, metrics, palette = defective_split_compiled(
-        graph, defect=int(params.get("defect", 1)), recorder=recorder, _csr=csr
+        cg.freeze(), defect=int(params.get("defect", 1)), recorder=recorder
     )
     return ColoringResult(classes), metrics, palette
 
@@ -408,9 +438,10 @@ def _run_defective_split_compiled(graph, params, recorder=None, csr=None):
 def _fk24_cell_config(graph, params):
     """The cell's (lists, space, defect) — built once per cell and shared by
     its run (fast path, reference path or batched twin, so all three run
-    the identical instance) and its validation.  ``slack`` widens every
-    list; ``list_seed`` switches from palette-prefix lists to per-node
-    sampled (gappy) ones."""
+    the identical instance) and its validation.  ``graph`` is the cell's
+    networkx graph or its CSR (the lists are the same).  ``slack`` widens
+    every list; ``list_seed`` switches from palette-prefix lists to
+    per-node sampled (gappy) ones."""
     from ..algorithms.fk24 import fk24_lists
 
     defect = int(params.get("defect", 1))
@@ -424,19 +455,13 @@ def _fk24_cell_config(graph, params):
     return lists, space, defect
 
 
-def _run_fk24_vectorized(graph, params, recorder=None, csr=None, *, config):
+def _run_fk24_vectorized(cg, params, recorder=None, *, config):
     from ..sim.vectorized import fk24_vectorized
 
     lists, space, defect = config
-    res, metrics, palette = fk24_vectorized(
-        graph,
-        lists=lists,
-        space_size=space,
-        defect=defect,
-        recorder=recorder,
-        _csr=csr,
+    return fk24_vectorized(
+        cg.freeze(), lists=lists, space_size=space, defect=defect, recorder=recorder
     )
-    return res, metrics, palette
 
 
 def _run_fk24_reference(graph, params, recorder=None, *, config):
@@ -505,32 +530,68 @@ def _is_fk24(algorithm: str) -> bool:
     return algorithm.startswith("fk24")
 
 
-def _validate(graph, result, algorithm, params, csr=None, config=None) -> bool:
-    """Vectorized validity check appropriate to the algorithm's contract.
+def _fk24_valid(csr, result, lists, defect: int) -> bool:
+    """The list arbdefective contract, checked on CSR arrays.
 
-    ``csr`` is the cell's already-frozen topology (frozen here when
-    ``None``); ``config`` is an fk24 cell's :func:`_fk24_cell_config`,
-    the one its run used.
+    What :func:`~repro.core.validate.validate_arbdefective_plain` checks,
+    plus list membership: every node is colored from its own list, the
+    result's ``orientation`` orients every edge exactly once, and no node
+    has more than ``defect`` out-neighbors of its own color.
     """
-    from ..sim.engine import CSRGraph, equal_neighbor_counts
+    from itertools import chain, repeat
+
+    import numpy as np
+
+    assignment, ori = result.assignment, result.orientation
+    if ori is None:
+        return False
+    try:
+        colors = csr.gather(assignment)
+    except KeyError:  # an uncolored node
+        return False
+    if not all(assignment[v] in lists[v] for v in csr.nodes):
+        return False
+    # arcs over dense ids; an arc with an endpoint outside the graph
+    # orients none of its edges
+    ends = np.fromiter(
+        map(csr.index.get, chain.from_iterable(ori.arcs), repeat(-1)),
+        dtype=np.int64,
+        count=2 * len(ori.arcs),
+    ).reshape(-1, 2)
+    ends = ends[(ends >= 0).all(axis=1)]
+    arcs = np.sort(ends[:, 0] * csr.n + ends[:, 1])
+
+    def oriented(tails, heads):
+        keys = tails * csr.n + heads
+        if not arcs.size:
+            return np.zeros(keys.shape, dtype=bool)
+        pos = np.minimum(np.searchsorted(arcs, keys), arcs.size - 1)
+        return arcs[pos] == keys
+
+    fwd = csr.src < csr.indices
+    u, w = csr.src[fwd], csr.indices[fwd]
+    u_to_w, w_to_u = oriented(u, w), oriented(w, u)
+    if not (u_to_w ^ w_to_u).all():
+        return False
+    same = colors[u] == colors[w]
+    out_same = np.bincount(u[same & u_to_w], minlength=csr.n) + np.bincount(
+        w[same & w_to_u], minlength=csr.n
+    )
+    return not csr.n or int(out_same.max()) <= defect
+
+
+def _validate(csr, result, algorithm, params, config=None) -> bool:
+    """Vectorized validity check appropriate to the algorithm's contract,
+    on the cell's CSR.  ``config`` is an fk24 cell's
+    :func:`_fk24_cell_config`, the one its run used."""
+    from ..sim.engine import equal_neighbor_counts
 
     if _is_fk24(algorithm):
-        # list arbdefective contract: every node takes a color from its own
-        # list, and the defect budget counts same-colored *out*-neighbors
-        # under the result's adoption orientation
-        from ..core.validate import validate_arbdefective_plain
+        # list arbdefective contract: the defect budget counts
+        # same-colored *out*-neighbors under the result's orientation
+        lists, _space, defect = config
+        return _fk24_valid(csr, result, lists, defect)
 
-        assignment, lists = result.assignment, config[0]
-        if not all(assignment.get(v) in lists[v] for v in graph.nodes):
-            return False
-        return bool(
-            validate_arbdefective_plain(
-                graph, result, int(params.get("defect", 1))
-            ).ok
-        )
-
-    if csr is None:
-        csr = CSRGraph.from_networkx(graph)
     colors = csr.gather(result.assignment)
     same = equal_neighbor_counts(csr, colors)
     default = 1 if algorithm.startswith("defective_split") else 0
@@ -538,66 +599,25 @@ def _validate(graph, result, algorithm, params, csr=None, config=None) -> bool:
     return bool(same.size == 0 or int(same.max()) <= allowed)
 
 
-def compute_cell(cell: SweepCell) -> dict[str, Any]:
-    """Build the cell's graph, run its algorithm, and return the record.
+def _ok_record(
+    cell: SweepCell,
+    csr,
+    outcome: tuple,
+    params: Mapping[str, Any],
+    config,
+    recorder,
+    *,
+    wall_s: float,
+    batched_with: int,
+    **extra: Any,
+) -> dict[str, Any]:
+    """The ``ok`` record of a computed cell, for both sweep paths.
 
-    The graph is built once and frozen into one
-    :class:`~repro.sim.engine.CSRGraph`, which the fast-path kernel, the
-    record's ``n``/``m``/``delta`` and the validation all share (an fk24
-    cell likewise builds its lists once, for its run and its validation).
-    Fast-path and reference-path cells run under a
-    :class:`~repro.obs.RunRecorder`, so the record carries the full
-    per-round :class:`~repro.obs.RunRecord` (``run_record``) and the
-    profiler's phase timings (``timings``); registry-only algorithms set
-    both to their empty values.  Raises propagate — quarantine into
-    :func:`failed_record` is the *batch* layer's job, so direct callers
-    still see real exceptions.
+    ``outcome`` is the run's ``(result, metrics, palette)``.  The record's
+    ``n``/``m``/``delta`` come from ``csr``, the cell's one frozen
+    topology, which its validation reads too.
     """
-    from .. import graphs
-    from ..algorithms import registry
-    from ..obs import RunRecorder
-    from ..sim.backends import backend_of_sweep_algorithm
-    from ..sim.engine import CSRGraph
-
-    family_params = dict(cell.family_params)
-    algo_params = dict(cell.spec()["algo_params"])
-    graph = graphs.family(cell.family, **family_params)
-
-    t0 = time.perf_counter()
-    palette = None
-    recorder = None
-    csr = None
-    extra: dict[str, Any] = {}
-    config = (
-        _fk24_cell_config(graph, algo_params) if _is_fk24(cell.algorithm) else None
-    )
-    fk24_kw = {"config": config} if config is not None else {}
-    if cell.algorithm in FAST_PATHS:
-        engine = backend_of_sweep_algorithm(cell.algorithm).engine
-        recorder = RunRecorder(engine=engine, algorithm=cell.algorithm)
-        # one freeze serves the kernel, the cell's delta and its validation
-        with recorder.profiler.phase("csr_build"):
-            csr = CSRGraph.from_networkx(graph)
-        result, metrics, palette = FAST_PATHS[cell.algorithm](
-            graph, algo_params, recorder, csr=csr, **fk24_kw
-        )
-    elif cell.algorithm in REFERENCE_PATHS:
-        engine = backend_of_sweep_algorithm(cell.algorithm).engine
-        recorder = RunRecorder(engine=engine, algorithm=cell.algorithm)
-        out = REFERENCE_PATHS[cell.algorithm](
-            graph, algo_params, recorder, **fk24_kw
-        )
-        if len(out) == 4:  # resilient path also returns restart info
-            result, metrics, palette, info = out
-            extra["resilience"] = info
-        else:
-            result, metrics, palette = out
-    else:
-        result, metrics = registry.run(cell.algorithm, graph)
-    wall = time.perf_counter() - t0
-    if csr is None:
-        csr = CSRGraph.from_networkx(graph)
-
+    result, metrics, palette = outcome
     run_record = recorder.record if recorder is not None else None
     record = dict(cell.spec())
     record.update(
@@ -608,16 +628,83 @@ def compute_cell(cell: SweepCell) -> dict[str, Any]:
         m=csr.num_directed_edges // 2,
         delta=int(csr.degrees.max()) if csr.n else 0,
         colors=result.num_colors(),
-        valid=_validate(graph, result, cell.algorithm, algo_params, csr, config),
+        valid=_validate(csr, result, cell.algorithm, params, config),
         palette=palette,
         metrics=metrics.summary() if metrics is not None else None,
-        wall_s=wall,
-        batched_with=1,
+        wall_s=wall_s,
+        batched_with=batched_with,
         timings=dict(run_record.timings) if run_record is not None else {},
         run_record=run_record.to_dict() if run_record is not None else None,
         **extra,
     )
     return record
+
+
+def compute_cell(cell: SweepCell) -> dict[str, Any]:
+    """Build the cell's graph, run its algorithm, and return the record.
+
+    The graph is frozen into one :class:`~repro.sim.engine.CSRGraph`,
+    which the fast-path kernel, the record's ``n``/``m``/``delta`` and
+    the validation all share (an fk24 cell likewise builds its lists
+    once, for its run and its validation).  A family with an edge emitter
+    is frozen straight from its edges; its networkx graph is built only
+    if the cell's path asks for one (reference, registry and greedy
+    paths), and that build, like the edge generation, stays out of
+    ``wall_s``.  Fast-path and reference-path cells run under a
+    :class:`~repro.obs.RunRecorder`, so the record carries the full
+    per-round :class:`~repro.obs.RunRecord` (``run_record``) and the
+    profiler's phase timings (``timings``); registry-only algorithms set
+    both to their empty values.  Raises propagate — quarantine into
+    :func:`failed_record` is the *batch* layer's job, so direct callers
+    still see real exceptions.
+    """
+    from ..algorithms import registry
+    from ..obs import RunRecorder
+    from ..sim.backends import backend_of_sweep_algorithm
+
+    algo_params = dict(cell.spec()["algo_params"])
+    cg = _CellGraph(cell.family, dict(cell.family_params))
+
+    t0 = time.perf_counter()
+    palette = None
+    recorder = None
+    config = None
+    extra: dict[str, Any] = {}
+    if cell.algorithm not in FAST_PATHS and cell.algorithm not in REFERENCE_PATHS:
+        result, metrics = registry.run(cell.algorithm, cg.graph)
+    else:
+        engine = backend_of_sweep_algorithm(cell.algorithm).engine
+        recorder = RunRecorder(engine=engine, algorithm=cell.algorithm)
+        if cell.algorithm in FAST_PATHS:
+            # one freeze serves the kernel, the cell's delta and its validation
+            with recorder.profiler.phase("csr_build"):
+                topology = cg.freeze()
+            runner, runner_input = FAST_PATHS[cell.algorithm], cg
+        else:
+            topology = runner_input = cg.graph
+            runner = REFERENCE_PATHS[cell.algorithm]
+        kw = {}
+        if _is_fk24(cell.algorithm):
+            config = kw["config"] = _fk24_cell_config(topology, algo_params)
+        out = runner(runner_input, algo_params, recorder, **kw)
+        if len(out) == 4:  # resilient path also returns restart info
+            result, metrics, palette, info = out
+            extra["resilience"] = info
+        else:
+            result, metrics, palette = out
+    wall = time.perf_counter() - t0 - cg.graph_build_s
+
+    return _ok_record(
+        cell,
+        cg.freeze(),
+        (result, metrics, palette),
+        algo_params,
+        config,
+        recorder,
+        wall_s=wall,
+        batched_with=1,
+        **extra,
+    )
 
 
 def failed_record(
@@ -657,10 +744,11 @@ def failed_record(
 def _run_batched(
     algorithm: str, built: list[tuple], fk24_configs: list[tuple | None]
 ) -> list[Any]:
-    """Run one batchable algorithm over pre-built ``(cell, graph, params,
-    recorder)`` tuples; one ``(result, metrics, palette)`` or exception per
-    cell, matching :data:`FAST_PATHS` output cell for cell.  An fk24 batch
-    runs on ``fk24_configs``, one :func:`_fk24_cell_config` per cell."""
+    """Run one batchable algorithm over pre-built ``(cell, cell graph,
+    params, recorder)`` tuples; one ``(result, metrics, palette)`` or
+    exception per cell, matching :data:`FAST_PATHS` output cell for cell.
+    An fk24 batch runs on ``fk24_configs``, one :func:`_fk24_cell_config`
+    per cell."""
     from ..core.coloring import ColoringResult
     from ..core.instance import delta_plus_one_instance
     from ..sim.batch import (
@@ -670,7 +758,7 @@ def _run_batched(
         linial_vectorized_batch,
     )
 
-    gs = [graph for _, graph, _, _ in built]
+    gs = [cg.graph for _, cg, _, _ in built]
     params_list = [params for _, _, params, _ in built]
     recs = [rec for _, _, _, rec in built]
     if algorithm == "linial_vectorized":
@@ -709,18 +797,15 @@ def _run_batched(
         instances = [delta_plus_one_instance(g) for g in gs]
         outs = greedy_list_vectorized_batch(instances, return_exceptions=True)
         normalized: list[Any] = []
-        for (cell, graph, params, rec), inst, o in zip(built, instances, outs):
+        for g, rec, inst, o in zip(gs, recs, instances, outs):
             if isinstance(o, BaseException):
                 normalized.append(o)
                 continue
-            metrics = _announce_coloring_metrics(graph, inst.space.size, rec)
-            rec.finalize(
-                metrics,
-                n=graph.number_of_nodes(),
-                m=graph.number_of_edges(),
-                palette=inst.space.size,
+            space = inst.space.size
+            n, m = g.number_of_nodes(), g.number_of_edges()
+            normalized.append(
+                (o, _announce_coloring_metrics(n, m, space, rec), space)
             )
-            normalized.append((o, metrics, inst.space.size))
         return normalized
     if algorithm == "defective_split":
         outs = defective_split_vectorized_batch(
@@ -765,7 +850,6 @@ def compute_cells_batched(cells: Sequence[SweepCell]) -> list[dict[str, Any]]:
     :class:`~repro.sim.node.HaltingError`) yields its
     :func:`failed_record` while sibling cells still land ``ok``.
     """
-    from .. import graphs
     from ..obs import RunRecorder
     from ..sim.backends import backend_of_sweep_algorithm
 
@@ -780,30 +864,31 @@ def compute_cells_batched(cells: Sequence[SweepCell]) -> list[dict[str, Any]]:
         raise ValueError(f"algorithm {algorithm!r} has no batched path")
 
     out: list[dict[str, Any] | None] = [None] * len(cells)
-    built: list[tuple] = []  # (cell, graph, params, recorder) per ok build
+    built: list[tuple] = []  # (cell, cell graph, params, recorder) per ok build
     positions: list[int] = []
     for pos, cell in enumerate(cells):
         t0 = time.perf_counter()
         try:
-            graph = graphs.family(cell.family, **dict(cell.family_params))
+            cg = _CellGraph(cell.family, dict(cell.family_params))
+            cg.graph  # the batched kernels pack networkx graphs
         except Exception as exc:
             out[pos] = failed_record(cell, exc, wall_s=time.perf_counter() - t0)
             continue
         params = dict(cell.spec()["algo_params"])
         engine = backend_of_sweep_algorithm(algorithm).engine
         rec = RunRecorder(engine=engine, algorithm=algorithm)
-        built.append((cell, graph, params, rec))
+        built.append((cell, cg, params, rec))
         positions.append(pos)
     if built:
         t0 = time.perf_counter()
         configs = (
-            [_fk24_cell_config(graph, params) for _, graph, params, _ in built]
+            [_fk24_cell_config(cg.graph, params) for _, cg, params, _ in built]
             if _is_fk24(algorithm)
             else [None] * len(built)
         )
         outcomes = _run_batched(algorithm, built, configs)
         wall = time.perf_counter() - t0
-        for pos, (cell, graph, params, rec), config, outcome in zip(
+        for pos, (cell, cg, params, rec), config, outcome in zip(
             positions, built, configs, outcomes
         ):
             if isinstance(outcome, BaseException):
@@ -811,30 +896,16 @@ def compute_cells_batched(cells: Sequence[SweepCell]) -> list[dict[str, Any]]:
                     cell, outcome, wall_s=wall, batched_with=len(built)
                 )
                 continue
-            result, metrics, palette = outcome
-            run_record = rec.record
-            record = dict(cell.spec())
-            record.update(
-                key=cell_key(cell),
-                schema=SWEEP_CACHE_SCHEMA,
-                status="ok",
-                n=graph.number_of_nodes(),
-                m=graph.number_of_edges(),
-                delta=max((d for _, d in graph.degree), default=0),
-                colors=result.num_colors(),
-                valid=_validate(graph, result, algorithm, params, config=config),
-                palette=palette,
-                metrics=metrics.summary() if metrics is not None else None,
+            out[pos] = _ok_record(
+                cell,
+                cg.freeze(),
+                outcome,
+                params,
+                config,
+                rec,
                 wall_s=wall,
                 batched_with=len(built),
-                timings=dict(run_record.timings)
-                if run_record is not None
-                else {},
-                run_record=run_record.to_dict()
-                if run_record is not None
-                else None,
             )
-            out[pos] = record
     return out  # type: ignore[return-value]
 
 

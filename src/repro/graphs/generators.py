@@ -17,16 +17,21 @@ The families cover what the paper's algorithms are sensitive to:
 :func:`random_regular` is a port of networkx's Steger–Wormald pairing
 algorithm rather than a call into it, so its graphs no longer depend on
 the installed networkx version: the same ``(n, degree, seed)`` yields the
-same nodes, edges and adjacency order everywhere.
+same nodes, edges and adjacency order everywhere.  Its edges can also be
+emitted as an array (:func:`random_regular_edges`, reached by family name
+through :func:`family_edges`) for callers that freeze straight into CSR
+form and never need the networkx graph.
 """
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
-from operator import itemgetter
+from functools import lru_cache
+from itertools import chain
 
 import networkx as nx
+import numpy as np
 
 
 def _repr_rank(labels) -> dict:
@@ -128,18 +133,18 @@ def _pairing_edges(n: int, degree: int, rng: random.Random) -> set[tuple[int, in
     return edges
 
 
-def random_regular(n: int, degree: int, seed: int) -> nx.Graph:
-    """Random ``degree``-regular graph on ``n`` nodes (``n * degree`` even).
+def random_regular_edges(n: int, degree: int, seed: int) -> np.ndarray:
+    """Edges of :func:`random_regular` as an ``int64`` array of shape ``(m, 2)``.
 
-    The graph equals ``_relabel(nx.random_regular_graph(degree, n,
-    seed=seed))`` in node order, per-node adjacency order and edge order,
-    but is built once instead of twice: the pairing
-    (:func:`_pairing_edges`) runs on ``0..n-1`` and the graph is emitted
-    already relabeled.  ``_relabel`` copies the nodes in order, then each
-    edge ``(u, w)`` with ``u < w``, ``u`` ascending and ``w`` in ``u``'s
-    adjacency order.  That adjacency order is the pairing set's order, so
-    the copied edge sequence is the set's edges stably sorted by their
-    smaller end.
+    Row ``k`` is the graph's ``k``-th edge in ``random_regular(n, degree,
+    seed).edges`` order, with the same endpoint order, so freezing these
+    rows into CSR form gives the same arrays as freezing the graph.  The
+    graph equals ``_relabel(nx.random_regular_graph(degree, n,
+    seed=seed))``: the pairing (:func:`_pairing_edges`) runs on
+    ``0..n-1``, ``_relabel`` then copies each edge ``(u, w)`` with ``u <
+    w``, ``u`` ascending and ``w`` in ``u``'s adjacency order (the pairing
+    set's order), and maps every label to its ``repr`` rank.  So the rows
+    are the set's edges stably sorted by their smaller end, then ranked.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
@@ -147,13 +152,50 @@ def random_regular(n: int, degree: int, seed: int) -> nx.Graph:
         raise ValueError(f"degree {degree} must be < n {n}")
     if (n * degree) % 2:
         raise ValueError("n * degree must be even")
-    rank = _repr_rank(range(n))
+    if not degree:
+        return np.empty((0, 2), dtype=np.int64)
+    pairs = _pairing_edges(n, degree, random.Random(seed))
+    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+    edges = flat.reshape(-1, 2)
+    edges = edges[np.argsort(edges[:, 0], kind="stable")]
+    return _repr_ranks(n)[edges]
+
+
+@lru_cache(maxsize=8)
+def _repr_ranks(n: int) -> np.ndarray:
+    """``ranks[v]``: the rank of label ``v`` among ``0..n-1`` in ``repr``
+    order, as :func:`_repr_rank` gives it (cached read-only: the emitter
+    and the graph builder of one graph both need it)."""
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[sorted(range(n), key=repr)] = np.arange(n, dtype=np.int64)
+    ranks.flags.writeable = False
+    return ranks
+
+
+def _regular_graph(n: int, edges: np.ndarray) -> nx.Graph:
+    """The networkx graph of :func:`random_regular` from its emitted edges.
+
+    Nodes go in as ``_relabel`` inserts them (the rank of ``0``, of ``1``,
+    ...), edges in row order.  Every node is one shared ``int`` object,
+    so the graph holds ``n`` labels rather than one per edge endpoint;
+    indexing an object array of them creates no other ints, not even
+    short-lived ones.
+    """
+    labels = np.arange(n).astype(object)
     g = nx.Graph()
-    g.add_nodes_from(rank[v] for v in range(n))
-    if degree:
-        edges = sorted(_pairing_edges(n, degree, random.Random(seed)), key=itemgetter(0))
-        g.add_edges_from((rank[u], rank[w]) for u, w in edges)
+    g.add_nodes_from(labels[_repr_ranks(n)])
+    g.add_edges_from(zip(labels[edges[:, 0]], labels[edges[:, 1]]))
     return g
+
+
+def random_regular(n: int, degree: int, seed: int) -> nx.Graph:
+    """Random ``degree``-regular graph on ``n`` nodes (``n * degree`` even).
+
+    Equals ``_relabel(nx.random_regular_graph(degree, n, seed=seed))`` in
+    node order, per-node adjacency order and edge order, but is built
+    once instead of twice, from :func:`random_regular_edges`.
+    """
+    return _regular_graph(n, random_regular_edges(n, degree, seed))
 
 
 def gnp(n: int, p: float, seed: int) -> nx.Graph:
@@ -273,6 +315,33 @@ def family(name: str, **kwargs) -> nx.Graph:
     if name not in table:
         raise KeyError(f"unknown graph family {name!r}; options: {sorted(table)}")
     return table[name](**kwargs)
+
+
+#: Families that can emit their edges without building a networkx graph:
+#: ``name -> (emitter, builder)``.  ``emitter(**kwargs)`` returns the
+#: ``(m, 2)`` edge array over ``0..n-1`` in the family graph's edge order;
+#: ``builder(n, edges)`` turns it into the family's networkx graph.
+_EDGE_EMITTERS = {"random_regular": (random_regular_edges, _regular_graph)}
+
+
+def family_edges(name: str, **kwargs) -> tuple[int, np.ndarray] | None:
+    """``(n, edges)`` of ``family(name, **kwargs)`` without building it, or
+    ``None`` when the family has no edge emitter.
+
+    ``CSRGraph.from_edges(n, edges)`` equals
+    ``CSRGraph.from_networkx(family(name, **kwargs))`` array for array, and
+    :func:`family_from_edges` builds the networkx graph itself.
+    """
+    if name not in _EDGE_EMITTERS:
+        return None
+    emitter, _builder = _EDGE_EMITTERS[name]
+    return kwargs["n"], emitter(**kwargs)
+
+
+def family_from_edges(name: str, n: int, edges: np.ndarray) -> nx.Graph:
+    """The networkx graph of a family from its :func:`family_edges` output."""
+    _emitter, builder = _EDGE_EMITTERS[name]
+    return builder(n, edges)
 
 
 def max_degree(g: nx.Graph) -> int:

@@ -1119,7 +1119,7 @@ def fk24_vectorized_batch(
     :class:`~repro.sim.node.HaltingError` in place, siblings unaffected.
     """
     from ..algorithms.fk24 import fk24_lists, fk24_round_budget
-    from ..core.coloring import orientation_from_priority
+    from .vectorized import adoption_orientation
 
     gs = list(graphs)
     k = len(gs)
@@ -1252,12 +1252,11 @@ def fk24_vectorized_batch(
             results[j] = errors[j]
             continue
         sl = batch.node_slice(j)
-        adoption = member.scatter(adopted[sl])
         if outs_seq[j] is not None:
-            outs_seq[j].update(adoption)
+            outs_seq[j].update(member.scatter(adopted[sl]))
         res = ColoringResult(
             member.scatter(colors[sl]),
-            orientation_from_priority(gs[j], adoption),
+            adoption_orientation(member, adopted[sl]),
         )
         if recs[j] is not None and _finalize_recorders:
             recs[j].finalize(

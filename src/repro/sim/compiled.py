@@ -44,6 +44,7 @@ import networkx as nx
 from ..core.coloring import ColoringResult
 from .engine import (
     CSRGraph,
+    as_csr,
     collision_counts,
     equal_neighbor_counts,
     poly_digits,
@@ -159,13 +160,12 @@ def linial_round_compiled(csr, colors: np.ndarray, q: int, deg: int) -> np.ndarr
 # drivers (compiled twins of the vectorized fast paths)
 # ----------------------------------------------------------------------
 def linial_compiled(
-    graph: nx.Graph,
+    graph: "nx.Graph | CSRGraph",
     initial_colors: dict[int, int] | None = None,
     defect: int = 0,
     recorder: "RunRecorder | None" = None,
     faults=None,
     _finalize_recorder: bool = True,
-    _csr: CSRGraph | None = None,
 ) -> tuple[ColoringResult, RunMetrics, int]:
     """Compiled twin of :func:`repro.sim.vectorized.linial_vectorized`.
 
@@ -173,7 +173,8 @@ def linial_compiled(
     per-round recorder rows; the only difference is the round kernel
     (:func:`linial_round_compiled`).  The driver loop, schedule, and
     accounting are plain Python in both modes, so CI without numba still
-    exercises everything but the jitted inner loop.  ``faults`` raises
+    exercises everything but the jitted inner loop.  ``graph`` may be a
+    frozen :class:`~repro.sim.engine.CSRGraph`.  ``faults`` raises
     :class:`~repro.sim.backends.CapabilityError` — the compiled backend
     declares ``supports_faults=False``.
     """
@@ -186,7 +187,7 @@ def linial_compiled(
     from ..algorithms.linial import defective_schedule, linial_schedule
 
     with _phase(recorder, "csr_build"):
-        csr = _csr if _csr is not None else CSRGraph.from_networkx(graph)
+        csr = as_csr(graph)
     n = csr.n
     delta = int(csr.degrees.max()) if n else 0
     if initial_colors is None:
@@ -305,24 +306,23 @@ def greedy_list_compiled(
 
 
 def defective_split_compiled(
-    graph: nx.Graph,
+    graph: "nx.Graph | CSRGraph",
     defect: int,
     validate: bool = True,
     recorder: "RunRecorder | None" = None,
-    _csr: CSRGraph | None = None,
 ) -> tuple[dict[int, int], RunMetrics, int]:
     """Compiled twin of
     :func:`repro.sim.vectorized.defective_split_vectorized`: the Linial
     stage runs through :func:`linial_compiled`, the defect validation
     through the shared integer-bincount kernel, with the identical
-    error message and finalize contract (``_csr`` included).
+    error message and finalize contract (a frozen ``graph`` included).
     """
     if defect < 0:
         raise ValueError(f"defect must be >= 0, got {defect}")
     with _phase(recorder, "csr_build"):
-        csr = _csr if _csr is not None else CSRGraph.from_networkx(graph)
+        csr = as_csr(graph)
     result, metrics, palette = linial_compiled(
-        graph, defect=defect, recorder=recorder, _finalize_recorder=False, _csr=csr
+        csr, defect=defect, recorder=recorder, _finalize_recorder=False
     )
     if validate:
         with _phase(recorder, "validate"):

@@ -16,7 +16,9 @@ This module provides that structure and the primitives every fast path in
   (``indptr``/``indices``) over dense node indices ``0..n-1``, plus the
   expanded per-directed-edge ``src`` array for scatter/bincount patterns.
   Node labels are mapped through a sorted dense index so fast paths and
-  the reference simulator agree on iteration order.
+  the reference simulator agree on iteration order; an edge array over
+  labels ``0..n-1`` freezes directly (:meth:`CSRGraph.from_edges`), with
+  no networkx graph at all.
 * ``gather`` / ``scatter`` — move per-node values between the label world
   (dicts keyed by node id) and the dense array world.
 * :func:`collision_counts` / :func:`equal_neighbor_counts` — the
@@ -41,12 +43,32 @@ double-direct in the CSR build (each arc would also be mirrored), so
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 import networkx as nx
 
 from .metrics import RunMetrics, congest_bandwidth
+
+
+def _adjacency(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the undirected ``(m, 2)`` dense edge rows.
+
+    Each node's neighbors are listed in row order: first the rows where
+    it is the first endpoint, then those where it is the second.
+    """
+    eu, ev = edges[:, 0], edges[:, 1]
+    src_all = np.concatenate([eu, ev])
+    dst_all = np.concatenate([ev, eu])
+    order = np.argsort(src_all, kind="stable")
+    indices = dst_all[order]
+    counts = (
+        np.bincount(src_all, minlength=n) if edges.size else np.zeros(n, dtype=np.int64)
+    )
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, indices
 
 
 class CSRGraph:
@@ -90,8 +112,26 @@ class CSRGraph:
 
     # ------------------------------------------------------------------
     @classmethod
+    def from_edges(cls, n: int, edges: np.ndarray) -> "CSRGraph":
+        """Freeze an undirected edge list over dense labels ``0..n-1``.
+
+        ``edges`` is an ``(m, 2)`` integer array, one row per edge.  Rows
+        in ``graph.edges`` order give exactly :meth:`from_networkx`'s
+        arrays (see :func:`_adjacency`).
+        """
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if edges.size and (int(edges.min()) < 0 or int(edges.max()) >= n):
+            raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+        nodes = tuple(range(n))
+        return cls(n, nodes, dict(zip(nodes, range(n))), *_adjacency(n, edges))
+
+    @classmethod
     def from_networkx(cls, graph: nx.Graph) -> "CSRGraph":
         """Freeze a ``networkx`` graph into CSR form.
+
+        Labels are sorted and mapped to dense indices; the edges, in
+        ``graph.edges`` order, are frozen by the same :func:`_adjacency`
+        as :meth:`from_edges`.
 
         Raises ``ValueError`` for directed graphs: mirroring each arc
         would silently treat the digraph as its underlying undirected
@@ -113,15 +153,7 @@ class CSRGraph:
             dtype=np.int64,
             count=2 * m,
         )
-        eu, ev = flat[0::2], flat[1::2]
-        src_all = np.concatenate([eu, ev])
-        dst_all = np.concatenate([ev, eu])
-        order = np.argsort(src_all, kind="stable")
-        indices = dst_all[order]
-        counts = np.bincount(src_all, minlength=n) if m else np.zeros(n, dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(n, nodes, index, indptr, indices)
+        return cls(n, nodes, index, *_adjacency(n, flat.reshape(m, 2)))
 
     # ------------------------------------------------------------------
     @property
@@ -148,6 +180,15 @@ class CSRGraph:
     def scatter(self, values: np.ndarray) -> dict[Any, int]:
         """Label-keyed dict from a dense per-node array (values as ints)."""
         return {v: int(values[i]) for i, v in enumerate(self.nodes)}
+
+
+def as_csr(graph: "nx.Graph | CSRGraph") -> CSRGraph:
+    """``graph`` itself when already frozen, else its :class:`CSRGraph`.
+
+    Every kernel that takes a graph accepts either form through this, so
+    a caller holding a frozen topology never pays a second freeze.
+    """
+    return graph if isinstance(graph, CSRGraph) else CSRGraph.from_networkx(graph)
 
 
 # ----------------------------------------------------------------------
@@ -261,11 +302,13 @@ def ragged_lists(
     Dense node ``i``'s list is ``list_values[list_indptr[i]:list_indptr[i+1]]``
     in its original (preference) order.
     """
-    per_node = [np.asarray(list(lists[v]), dtype=np.int64) for v in csr.nodes]
-    lengths = np.array([a.shape[0] for a in per_node], dtype=np.int64)
+    per_node = [tuple(lists[v]) for v in csr.nodes]
     list_indptr = np.zeros(csr.n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=list_indptr[1:])
-    list_values = (
-        np.concatenate(per_node) if per_node else np.empty(0, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(map(len, per_node), dtype=np.int64, count=csr.n),
+        out=list_indptr[1:],
+    )
+    list_values = np.fromiter(
+        chain.from_iterable(per_node), dtype=np.int64, count=int(list_indptr[-1])
     )
     return list_indptr, list_values

@@ -79,6 +79,7 @@ import numpy as np
 from ..core.coloring import ColoringResult
 from .engine import (
     CSRGraph,
+    as_csr,
     collision_counts,
     poly_digits,
     poly_eval_grid,
@@ -343,7 +344,7 @@ def partition_graph(
     shard exactly like the contiguous relabeling the CSR build performs —
     the label world only reappears at gather/scatter time.
     """
-    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_networkx(graph)
+    csr = as_csr(graph)
     return csr, partition_arrays(
         csr.n, csr.indptr, csr.indices, shards, strategy=strategy, seed=seed
     )

@@ -36,9 +36,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 import networkx as nx
 
-from ..core.coloring import ColoringResult
+from ..core.coloring import ColoringResult, EdgeOrientation
 from .engine import (
     CSRGraph,
+    as_csr,
     collision_counts,
     equal_neighbor_counts,
     poly_digits,
@@ -82,13 +83,12 @@ def _edge_arrays(graph: nx.Graph) -> tuple[np.ndarray, np.ndarray, dict[int, int
 
 
 def linial_vectorized(
-    graph: nx.Graph,
+    graph: "nx.Graph | CSRGraph",
     initial_colors: dict[int, int] | None = None,
     defect: int = 0,
     recorder: "RunRecorder | None" = None,
     faults=None,
     _finalize_recorder: bool = True,
-    _csr: CSRGraph | None = None,
 ) -> tuple[ColoringResult, RunMetrics, int]:
     """Vectorized twin of :func:`repro.algorithms.linial.run_linial`.
 
@@ -102,14 +102,14 @@ def linial_vectorized(
     kernel, which replays the plan's exact message/crash schedule and is
     bit-for-bit equivalent to ``run_linial(..., faults=plan)`` — outputs,
     metrics, and the per-round fault column family all match (the
-    standing cross-engine contract under fault injection).  ``_csr``
-    (internal) lets a composing fast path reuse an already-built CSR of
-    ``graph`` instead of freezing the topology twice.
+    standing cross-engine contract under fault injection).  ``graph`` may
+    be an already-frozen :class:`~repro.sim.engine.CSRGraph`, which a
+    composing fast path passes to avoid freezing the topology twice.
     """
     from ..algorithms.linial import defective_schedule, linial_schedule
 
     with _phase(recorder, "csr_build"):
-        csr = _csr if _csr is not None else CSRGraph.from_networkx(graph)
+        csr = as_csr(graph)
     n = csr.n
     delta = int(csr.degrees.max()) if n else 0
     if initial_colors is None:
@@ -303,12 +303,11 @@ def _linial_faulty_rounds(
 
 
 def schedule_reduction_vectorized(
-    graph: nx.Graph,
+    graph: "nx.Graph | CSRGraph",
     schedule_colors: dict[int, int],
     palettes_size: int,
     recorder: "RunRecorder | None" = None,
     _finalize_recorder: bool = True,
-    _csr: CSRGraph | None = None,
 ) -> tuple[ColoringResult, RunMetrics]:
     """Vectorized twin of the one-class-per-round list reduction
     (:class:`repro.algorithms.reduction.ScheduledListColoring` with the
@@ -319,13 +318,13 @@ def schedule_reduction_vectorized(
     metrics are synthesized to match the reference run exactly (each node
     sends its color once to every neighbor, one round after picking).
     ``recorder`` rows carry the per-round uncolored count (nodes whose
-    class has not picked yet).  ``_csr`` (internal) reuses an
-    already-built CSR of ``graph``, as in :func:`linial_vectorized`.
+    class has not picked yet).  ``graph`` may be a frozen
+    :class:`~repro.sim.engine.CSRGraph`, as in :func:`linial_vectorized`.
     """
     from .message import index_bits
 
     with _phase(recorder, "csr_build"):
-        csr = _csr if _csr is not None else CSRGraph.from_networkx(graph)
+        csr = as_csr(graph)
     n = csr.n
     src, dst = csr.src, csr.indices
     cls = csr.gather(schedule_colors)
@@ -423,11 +422,10 @@ def greedy_list_vectorized(
 
 
 def defective_split_vectorized(
-    graph: nx.Graph,
+    graph: "nx.Graph | CSRGraph",
     defect: int,
     validate: bool = True,
     recorder: "RunRecorder | None" = None,
-    _csr: CSRGraph | None = None,
 ) -> tuple[dict[int, int], RunMetrics, int]:
     """Fast path for the defective-split decomposition step
     (:func:`repro.algorithms.defective.defective_class_partition`).
@@ -440,19 +438,19 @@ def defective_split_vectorized(
     integer bincount) instead of the reference's per-edge Python scan;
     with a ``recorder`` attached it is timed as a ``validate`` phase.
 
-    The topology is frozen into a :class:`CSRGraph` exactly once (or taken
-    from ``_csr``, internal): the same CSR drives the Linial run, the
-    defect validation, and the finalized record's ``n``/``m`` (asserted
-    against the run's own node/edge counts), so validation can never
+    The topology is frozen into a :class:`CSRGraph` exactly once (or
+    ``graph`` already is one): the same CSR drives the Linial run, the
+    defect validation, and the finalized record's ``n``/``m`` (``n``
+    asserted against the run's own node count), so validation can never
     silently audit a different adjacency than the one the coloring was
     computed on.
     """
     if defect < 0:
         raise ValueError(f"defect must be >= 0, got {defect}")
     with _phase(recorder, "csr_build"):
-        csr = _csr if _csr is not None else CSRGraph.from_networkx(graph)
+        csr = as_csr(graph)
     result, metrics, palette = linial_vectorized(
-        graph, defect=defect, recorder=recorder, _finalize_recorder=False, _csr=csr
+        csr, defect=defect, recorder=recorder, _finalize_recorder=False
     )
     if validate:
         with _phase(recorder, "validate"):
@@ -466,8 +464,8 @@ def defective_split_vectorized(
                 )
     if recorder is not None:
         n, m = csr.n, csr.num_directed_edges // 2
-        assert n == len(result.assignment) and m == graph.number_of_edges(), (
-            "defective_split_vectorized: finalize n/m drifted from the run's CSR"
+        assert n == len(result.assignment), (
+            "defective_split_vectorized: finalize n drifted from the run's CSR"
         )
         recorder.finalize(
             metrics,
@@ -480,9 +478,8 @@ def defective_split_vectorized(
 
 
 def classic_delta_plus_one_vectorized(
-    graph: nx.Graph,
+    graph: "nx.Graph | CSRGraph",
     recorder: "RunRecorder | None" = None,
-    _csr: CSRGraph | None = None,
 ) -> tuple[ColoringResult, RunMetrics]:
     """Vectorized classic pipeline: Linial then the schedule reduction.
 
@@ -491,21 +488,20 @@ def classic_delta_plus_one_vectorized(
     compare node for node); usable at n in the hundreds of thousands.
     A ``recorder`` accumulates rows across both stages and is finalized
     once against the merged metrics.  The topology is frozen once (or
-    taken from ``_csr``, internal) and shared by both stages.
+    ``graph`` already is a :class:`CSRGraph`) and shared by both stages.
     """
     with _phase(recorder, "csr_build"):
-        csr = _csr if _csr is not None else CSRGraph.from_networkx(graph)
+        csr = as_csr(graph)
     pre, m1, _palette = linial_vectorized(
-        graph, recorder=recorder, _finalize_recorder=False, _csr=csr
+        csr, recorder=recorder, _finalize_recorder=False
     )
     delta = int(csr.degrees.max()) if csr.n else 0
     res, m2 = schedule_reduction_vectorized(
-        graph,
+        csr,
         pre.assignment,
         delta + 1,
         recorder=recorder,
         _finalize_recorder=False,
-        _csr=csr,
     )
     merged = m1.merge_sequential(m2)
     if recorder is not None:
@@ -562,14 +558,13 @@ def _fk24_candidates(
 
 
 def fk24_vectorized(
-    graph: nx.Graph,
+    graph: "nx.Graph | CSRGraph",
     lists=None,
     space_size: int | None = None,
     defect: int = 1,
     recorder: "RunRecorder | None" = None,
     faults=None,
     _finalize_recorder: bool = True,
-    _csr: CSRGraph | None = None,
     adoption_out: dict | None = None,
 ) -> tuple[ColoringResult, RunMetrics, int]:
     """Vectorized twin of :func:`repro.algorithms.fk24.run_fk24`.
@@ -584,17 +579,18 @@ def fk24_vectorized(
     column family and the (stretched) round budget, so a plan that
     livelocks the algorithm halts both engines with the identical
     :class:`~repro.sim.node.HaltingError`.  ``adoption_out``, if given,
-    is filled with each node's adoption round.
+    is filled with each node's adoption round.  ``graph`` may be a frozen
+    :class:`~repro.sim.engine.CSRGraph`; the orientation is built from
+    its arrays either way (:func:`adoption_orientation`).
     """
     from ..algorithms.fk24 import fk24_lists, fk24_round_budget
-    from ..core.coloring import orientation_from_priority
 
     with _phase(recorder, "csr_build"):
-        csr = _csr if _csr is not None else CSRGraph.from_networkx(graph)
+        csr = as_csr(graph)
     n = csr.n
     with _phase(recorder, "schedule"):
         if lists is None:
-            lists, built_space = fk24_lists(graph, defect)
+            lists, built_space = fk24_lists(csr, defect)
             if space_size is None:
                 space_size = built_space
         lists = {v: tuple(lists[v]) for v in csr.nodes}
@@ -634,11 +630,10 @@ def fk24_vectorized(
             )
         raise
 
-    adoption = csr.scatter(adopted)
     if adoption_out is not None:
-        adoption_out.update(adoption)
+        adoption_out.update(csr.scatter(adopted))
     result = ColoringResult(
-        csr.scatter(colors), orientation_from_priority(graph, adoption)
+        csr.scatter(colors), adoption_orientation(csr, adopted)
     )
     if recorder is not None and _finalize_recorder:
         recorder.finalize(
@@ -649,6 +644,26 @@ def fk24_vectorized(
             algorithm=recorder.algorithm or "fk24_vectorized",
         )
     return result, metrics, space
+
+
+def adoption_orientation(csr: CSRGraph, adopted: np.ndarray) -> EdgeOrientation:
+    """Every edge oriented from its later adopter to its earlier one, ties
+    toward the larger label, from CSR arrays.
+
+    ``adopted`` holds each dense node's adoption round.  The arc set equals
+    :func:`~repro.core.coloring.orientation_from_priority` over the
+    label-keyed adoption rounds: dense order is sorted label order, so for
+    an edge ``u < w`` the priority ``(adopted, node)`` of ``u`` is the
+    larger exactly when ``adopted[u] > adopted[w]``.
+    """
+    fwd = csr.src < csr.indices
+    u, w = csr.src[fwd], csr.indices[fwd]
+    later = adopted[u] > adopted[w]
+    # the graph's own label objects, shared by the arcs
+    labels = np.fromiter(csr.nodes, dtype=object, count=csr.n)
+    tails = labels[np.where(later, u, w)]
+    heads = labels[np.where(later, w, u)]
+    return EdgeOrientation(set(zip(tails, heads)))
 
 
 def _fk24_rounds(

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.graphs import gnp, ring, star
 from repro.sim.engine import (
     CSRGraph,
+    as_csr,
     collision_counts,
     equal_neighbor_counts,
     poly_digits,
@@ -56,6 +57,26 @@ class TestCSRConstruction:
         dg.add_edge(0, 1)
         with pytest.raises(ValueError, match="undirected"):
             CSRGraph.from_networkx(dg)
+
+    def test_from_edges_matches_dense_graph(self):
+        g = gnp(40, 0.2, seed=11)
+        edges = np.array(list(g.edges), dtype=np.int64)
+        a, b = CSRGraph.from_edges(40, edges), CSRGraph.from_networkx(g)
+        assert a.nodes == b.nodes == tuple(range(40)) and a.index == b.index
+        for k in ("indptr", "indices", "src"):
+            assert np.array_equal(getattr(a, k), getattr(b, k))
+
+    def test_from_edges_isolated_nodes_and_range_check(self):
+        csr = CSRGraph.from_edges(5, np.array([[0, 3]]))
+        assert csr.degrees.tolist() == [1, 0, 0, 1, 0]
+        assert CSRGraph.from_edges(3, np.empty((0, 2), dtype=np.int64)).n == 3
+        with pytest.raises(ValueError, match="0..2"):
+            CSRGraph.from_edges(3, np.array([[0, 3]]))
+
+    def test_as_csr_passes_a_frozen_graph_through(self):
+        csr = CSRGraph.from_networkx(ring(6))
+        assert as_csr(csr) is csr
+        assert as_csr(ring(6)).nodes == csr.nodes
 
     def test_gather_scatter_roundtrip(self):
         g = ring(12)

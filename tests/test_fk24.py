@@ -238,6 +238,53 @@ def test_orientation_priorities_match_adoption_rounds():
             )
 
 
+def _gappy_labels(g, seed):
+    """``g`` relabeled to unsorted, non-contiguous integer labels."""
+    import random
+
+    import networkx as nx
+
+    labels = random.Random(seed).sample(range(10, 100_000), g.number_of_nodes())
+    return nx.relabel_nodes(g, dict(zip(g.nodes, labels)))
+
+
+@pytest.mark.parametrize("family", ["gnp", "regular", "hub", "cliques", "star"])
+def test_vectorized_orientation_equals_priority_orientation(family):
+    from repro.core.coloring import orientation_from_priority
+    from repro.sim.engine import CSRGraph
+
+    g = _gappy_labels(FAMILIES[family](), seed=len(family))
+    assert set(g.nodes) != set(range(g.number_of_nodes()))
+    lists, space = fk24_lists(g, defect=1, slack=1, seed=41)
+    adoption = {}
+    result, _m, _p = fk24_vectorized(
+        g, lists=lists, space_size=space, defect=1, adoption_out=adoption
+    )
+    want = orientation_from_priority(g, adoption).arcs
+    assert result.orientation.arcs == want
+    from_csr, _m, _p = fk24_vectorized(
+        CSRGraph.from_networkx(g), lists=lists, space_size=space, defect=1
+    )
+    assert from_csr.orientation.arcs == want
+    (batched, _m, _p), = fk24_vectorized_batch(
+        [g], lists=[lists], space_size=[space], defect=[1]
+    )
+    assert batched.orientation.arcs == want
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_lists_from_csr_equal_lists_from_graph(seed):
+    from repro.sim.engine import CSRGraph
+
+    g = _gappy_labels(FAMILIES["hub"](), seed=3)
+    csr = CSRGraph.from_networkx(g)
+    assert fk24_lists(csr, 1, slack=2, seed=seed) == fk24_lists(
+        g, 1, slack=2, seed=seed
+    )
+    # no lists given: the kernel derives them from the CSR it runs on
+    assert fk24_vectorized(csr)[0].assignment == fk24_vectorized(g)[0].assignment
+
+
 # ----------------------------------------------------------------------
 # fault battery: both engines, identical outcome — success or halt
 # ----------------------------------------------------------------------

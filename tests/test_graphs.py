@@ -1,6 +1,7 @@
 """Unit + property tests for graph generators and orientations."""
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,8 @@ from repro.graphs import (
     clique,
     disjoint_cliques,
     family,
+    family_edges,
+    family_from_edges,
     gnp,
     hub_and_fringe,
     hypercube,
@@ -21,12 +24,14 @@ from repro.graphs import (
     path,
     random_low_outdegree_digraph,
     random_regular,
+    random_regular_edges,
     random_tree,
     ring,
     star,
     torus,
 )
 from repro.graphs.generators import _relabel
+from repro.sim.engine import CSRGraph
 
 
 class TestGenerators:
@@ -109,6 +114,11 @@ class TestGenerators:
         with pytest.raises(KeyError):
             family("nope")
 
+    def test_family_edges_only_for_emitting_families(self):
+        assert family_edges("ring", n=5) is None
+        n, edges = family_edges("random_regular", n=10, degree=3, seed=2)
+        assert n == 10 and edges.shape == (15, 2) and edges.dtype == np.int64
+
 
 def _same_graph(a: nx.Graph, b: nx.Graph) -> bool:
     """Equal node order, edge order and per-node adjacency order."""
@@ -116,6 +126,19 @@ def _same_graph(a: nx.Graph, b: nx.Graph) -> bool:
         list(a.nodes) == list(b.nodes)
         and list(a.edges) == list(b.edges)
         and all(list(a.adj[v]) == list(b.adj[v]) for v in b)
+    )
+
+
+def _same_csr(a: CSRGraph, b: CSRGraph) -> bool:
+    """Array-for-array equal CSR freezes (labels and index included)."""
+    return (
+        a.n == b.n
+        and a.nodes == b.nodes
+        and a.index == b.index
+        and all(
+            np.array_equal(getattr(a, k), getattr(b, k))
+            for k in ("indptr", "indices", "src")
+        )
     )
 
 
@@ -151,6 +174,36 @@ class TestRandomRegularPort:
 
         monkeypatch.setattr(nx, "random_regular_graph", refuse)
         assert random_regular(30, 4, seed=2).number_of_edges() == 60
+
+    @pytest.mark.parametrize(
+        "n", [*range(2, 18), 31, 32, 33, 64, 101, 256, 500, 1001]
+    )
+    def test_emitted_edges_freeze_like_the_graph(self, n):
+        for degree in range(min(n - 1, 11) + 1):
+            if n * degree % 2:
+                continue
+            for seed in range(6):
+                assert _same_csr(
+                    CSRGraph.from_edges(n, random_regular_edges(n, degree, seed)),
+                    CSRGraph.from_networkx(random_regular(n, degree, seed)),
+                ), (n, degree, seed)
+
+    def test_emitted_edges_at_sweep_size(self):
+        emitted = family_edges("random_regular", n=5000, degree=8, seed=1)
+        assert emitted[0] == 5000
+        assert _same_csr(
+            CSRGraph.from_edges(*emitted),
+            CSRGraph.from_networkx(_networkx_regular(5000, 8, 1)),
+        )
+        assert _same_graph(
+            family_from_edges("random_regular", *emitted), random_regular(5000, 8, 1)
+        )
+
+    def test_emitter_validates_like_the_builder(self):
+        for bad in [(5, 3, 0), (4, 4, 0), (6, -1, 0)]:
+            with pytest.raises(ValueError):
+                random_regular_edges(*bad)
+        assert random_regular_edges(7, 0, 1).shape == (0, 2)
 
     def test_relabel_ranks_by_repr(self):
         # "10" sorts before "2", so label 10 gets rank 1 and label 2 rank 2

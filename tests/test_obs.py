@@ -6,6 +6,8 @@ check: reference and vectorized runs of the same sweep cell must emit
 identical per-round message counts and bit totals.
 """
 
+import json
+
 import pytest
 
 from repro.experiments.sweep import SweepCell, compute_cell, run_sweep
@@ -329,6 +331,22 @@ class TestReportRendering:
         out = capsys.readouterr().out
         assert "cross-engine equivalence" in out
         assert "EQUAL" in out
+
+    def test_cli_report_cache_dir_mismatch_fails(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        cache = self.sweep_cache(tmp_path)
+        tampered = 0
+        for path in sorted(cache.glob("*.json")):
+            cell = json.loads(path.read_text())
+            if cell["algorithm"] == "linial_vectorized":
+                cell["run_record"]["rows"][0]["messages"] += 1
+                path.write_text(json.dumps(cell))
+                tampered += 1
+        assert tampered == 1
+        assert cli_main(["report", "--cache-dir", str(cache)]) == 1
+        out = capsys.readouterr().out
+        assert "MISMATCH" in out
 
     def test_cli_report_runs_jsonl(self, tmp_path, capsys):
         from repro.cli import main as cli_main

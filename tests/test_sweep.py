@@ -78,17 +78,38 @@ class TestCells:
 
 
 def _count_freezes(monkeypatch) -> list:
-    """Record every ``CSRGraph.from_networkx`` call from now on."""
+    """Record every CSR build from now on, by either constructor
+    (``CSRGraph.from_networkx`` or ``CSRGraph.from_edges``)."""
     from repro.sim.engine import CSRGraph
 
     calls = []
-    real = CSRGraph.from_networkx.__func__
 
-    def spy(cls, graph):
-        calls.append(graph)
-        return real(cls, graph)
+    def spy_on(name):
+        real = getattr(CSRGraph, name).__func__
 
-    monkeypatch.setattr(CSRGraph, "from_networkx", classmethod(spy))
+        def spy(cls, *args):
+            calls.append(name)
+            return real(cls, *args)
+
+        monkeypatch.setattr(CSRGraph, name, classmethod(spy))
+
+    spy_on("from_networkx")
+    spy_on("from_edges")
+    return calls
+
+
+def _count_networkx_graphs(monkeypatch) -> list:
+    """Record every networkx graph constructed from now on."""
+    import networkx as nx
+
+    calls = []
+    real = nx.Graph.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(type(self).__name__)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(nx.Graph, "__init__", spy)
     return calls
 
 
@@ -175,6 +196,26 @@ class TestSingleFreeze:
     @pytest.mark.parametrize(
         "algorithm", ["linial_vectorized", "classic_vectorized", "fk24_vectorized"]
     )
+    def test_random_regular_cell_builds_no_networkx_graph(
+        self, monkeypatch, algorithm
+    ):
+        cell = SweepCell.make(
+            "random_regular", {"n": 300, "degree": 8, "seed": 4}, algorithm
+        )
+        graphs = _count_networkx_graphs(monkeypatch)
+        freezes = _count_freezes(monkeypatch)
+        assert compute_cell(cell)["valid"] is True
+        assert graphs == []
+        assert freezes == ["from_edges"]
+
+    def test_family_without_emitter_freezes_its_graph(self, monkeypatch):
+        calls = _count_freezes(monkeypatch)
+        compute_cell(SweepCell.make("ring", {"n": 30}, "linial_vectorized"))
+        assert calls == ["from_networkx"]
+
+    @pytest.mark.parametrize(
+        "algorithm", ["linial_vectorized", "classic_vectorized", "fk24_vectorized"]
+    )
     def test_record_matches_old_path(self, algorithm):
         cell = SweepCell.make(
             "random_regular", {"n": 300, "degree": 8, "seed": 4}, algorithm
@@ -245,6 +286,109 @@ class TestFk24ListMembership:
         monkeypatch.setattr(batch, "fk24_vectorized_batch", tampered)
         records = compute_cells_batched(cells)
         assert [r["valid"] for r in records] == [False, True]
+
+
+def _fk24_outputs():
+    """``(graph, lists, defect, result)`` of valid fk24 runs, labels gappy
+    on one graph."""
+    import networkx as nx
+
+    from repro.algorithms.fk24 import fk24_lists
+    from repro.graphs import gnp, hub_and_fringe, random_regular
+    from repro.sim.vectorized import fk24_vectorized
+
+    gappy = nx.relabel_nodes(gnp(30, 0.25, seed=2), lambda v: 1000 - 7 * v)
+    cases = [
+        (random_regular(40, 5, seed=1), 0, None),
+        (random_regular(60, 6, seed=2), 1, 5),
+        (gappy, 1, None),
+        (hub_and_fringe(hub_degree=6, fringe_cliques=2, clique_size=3), 2, 9),
+    ]
+    for g, defect, seed in cases:
+        lists, space = fk24_lists(g, defect, slack=1, seed=seed)
+        result, _m, _p = fk24_vectorized(
+            g, lists=lists, space_size=space, defect=defect
+        )
+        yield g, lists, space, defect, result
+
+
+def _fk24_tamperings(g, lists, defect, result):
+    """The four tampered outputs: one arc flipped, one arc dropped, a node
+    recolored to a neighbor's color, and a color outside a node's list."""
+    from collections import Counter
+
+    from repro.core.coloring import ColoringResult, EdgeOrientation
+
+    color = result.assignment
+    arcs = result.orientation.arcs
+    mono = sorted((a, b) for a, b in arcs if color[a] == color[b])
+    out_same = Counter(a for a, _ in mono)
+    # flip a monochromatic arc into a node whose own budget is spent, so
+    # the flip breaks it; any arc when there is no such one
+    over = [(a, b) for a, b in mono if out_same[b] == defect]
+    u, v = (over or mono or sorted(arcs))[0]
+    flipped = (arcs - {(u, v)}) | {(v, u)}
+    yield "flip", ColoringResult(result.assignment, EdgeOrientation(flipped))
+    yield "drop", ColoringResult(result.assignment, EdgeOrientation(arcs - {(u, v)}))
+    hub = max(g.nodes, key=g.degree)
+    w = next(x for x in g.neighbors(hub))
+    recolored = dict(result.assignment)
+    recolored[hub] = result.assignment[w]
+    yield "neighbor", ColoringResult(recolored, result.orientation)
+    off = dict(result.assignment)
+    off[hub] = 1 + max(c for lst in lists.values() for c in lst)
+    yield "off_list", ColoringResult(off, result.orientation)
+
+
+class TestFk24CsrValidation:
+    """The sweep's CSR fk24 check agrees with
+    ``validate_arbdefective_plain`` plus the list check."""
+
+    @staticmethod
+    def _oracle(g, lists, defect, result) -> bool:
+        from repro.core.validate import validate_arbdefective_plain
+
+        return validate_arbdefective_plain(g, result, defect).ok and all(
+            result.assignment.get(v) in lists[v] for v in g.nodes
+        )
+
+    @staticmethod
+    def _csr_check(g, lists, space, defect, result) -> bool:
+        from repro.experiments.sweep import _validate
+        from repro.sim.engine import CSRGraph
+
+        return _validate(
+            CSRGraph.from_networkx(g),
+            result,
+            "fk24_vectorized",
+            {"defect": defect},
+            (lists, space, defect),
+        )
+
+    def test_agrees_on_valid_and_tampered_outputs(self):
+        verdicts = {}
+        for g, lists, space, defect, result in _fk24_outputs():
+            assert self._csr_check(g, lists, space, defect, result) is True
+            assert self._oracle(g, lists, defect, result)
+            for name, tampered in _fk24_tamperings(g, lists, defect, result):
+                got = self._csr_check(g, lists, space, defect, tampered)
+                assert got == self._oracle(g, lists, defect, tampered), name
+                verdicts.setdefault(name, set()).add(got)
+        # every tampering is caught somewhere; dropping an arc and leaving
+        # the list always are
+        assert all(False in seen for seen in verdicts.values()), verdicts
+        assert verdicts["drop"] == verdicts["off_list"] == {False}
+
+    def test_rejects_a_missing_orientation_or_node(self):
+        from repro.core.coloring import ColoringResult
+
+        g, lists, space, defect, result = next(_fk24_outputs())
+        bare = ColoringResult(result.assignment)
+        assert self._csr_check(g, lists, space, defect, bare) is False
+        partial = dict(result.assignment)
+        partial.pop(next(iter(partial)))
+        short = ColoringResult(partial, result.orientation)
+        assert self._csr_check(g, lists, space, defect, short) is False
 
 
 class TestPartitioning:
