@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 import networkx as nx
@@ -76,14 +77,20 @@ class LinialStep:
         return self.q * self.q
 
 
+@lru_cache(maxsize=4096)
 def _best_step(m: int, delta: int, budget: int) -> LinialStep | None:
     """The step minimizing the output color count ``q^2`` for current ``m``.
 
     Requires ``q^(deg+1) >= m`` (representability) and, for budget ``b``,
     ``floor(deg * Delta / q) <= b`` — i.e. ``q > deg * Delta`` when ``b = 0``.
     Returns ``None`` if no admissible step shrinks the palette.
+
+    Memoized: it is a pure function of three ints returning a frozen
+    step, and every served request and sweep cell asks again for the
+    same few ``(m, Delta)`` pairs.  The schedules stay uncached, since
+    :func:`defective_schedule` extends the list it gets.
     """
-    delta = max(1, delta)
+    delta = max(1, int(delta))
     best: LinialStep | None = None
     max_deg = max(2, math.ceil(math.log2(max(2, m))))
     for deg in range(1, max_deg + 1):

@@ -30,8 +30,9 @@ backend of :mod:`repro.sim.compiled` (fault cases skipped — the backend
 declares ``supports_faults=False``); ``serve`` runs the
 :mod:`repro.serve` continuous-batching daemon on a local TCP port
 (``--smoke`` instead starts it, fires a pinned synthetic burst from
-concurrent clients, asserts every coloring validates, and shuts down —
-the CI serving check); ``backends`` prints the
+concurrent clients, asserts every coloring validates and equals the
+offline batched engine's on the recipe's networkx graph, and shuts down
+— the CI serving check); ``backends`` prints the
 :mod:`repro.sim.backends` registry with capabilities/availability and
 the cross-module consistency check; ``families`` lists the available
 graph generators and their parameters.
@@ -504,6 +505,33 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 1 if mismatches else 0
 
 
+def _offline_mismatches(requests, responses) -> list[str]:
+    """Ids of the ``ok`` responses whose coloring, palette, rounds or bits
+    differ from :func:`~repro.sim.batch.linial_vectorized_batch` on each
+    recipe's networkx graph (the daemon serves from edge-emitted CSRs,
+    so this also checks the emitters against the networkx generators)."""
+    from .sim import linial_vectorized_batch
+
+    served = [r for r in responses if r.status == "ok"]
+    if not served:
+        return []
+    by_id = {r.request_id: r for r in requests}
+    picked = [by_id[r.request_id] for r in served]
+    offline = linial_vectorized_batch(
+        [r.build_graph() for r in picked],
+        initial_colors=[r.initial_colors for r in picked],
+        defect=[r.defect for r in picked],
+        faults=[r.fault_plan() for r in picked],
+    )
+    return [
+        response.request_id
+        for response, (result, metrics, palette) in zip(served, offline)
+        if response.assignment() != result.assignment
+        or (response.palette, response.rounds, response.total_bits)
+        != (palette, metrics.rounds, metrics.total_bits)
+    ]
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import json as _json
@@ -569,6 +597,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 for r in report.responses
                 if r.status == "ok" and r.valid is not True
             ]
+            mismatched = _offline_mismatches(requests, report.responses)
             print(
                 f"serve smoke: {report.requests} requests from "
                 f"{args.smoke_clients} clients in {report.wall_seconds:.2f}s "
@@ -602,20 +631,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 illegal
                 or hard_fail
                 or invalid
+                or mismatched
                 or report.errors
                 or len(report.responses) != len(requests)
             ):
                 print(
                     f"SMOKE FAILURE: illegal={illegal} hard_fail={hard_fail} "
                     f"invalid={len(invalid)} "
+                    f"offline_mismatches={mismatched[:5]} "
                     f"client_errors={report.failed_clients} "
                     f"responses={len(report.responses)}/{len(requests)}"
                 )
                 return 1
             shed = counts.get("rejected", 0) + counts.get("timeout", 0)
             print(
-                "serve smoke: all admitted colorings valid "
-                f"({shed} shed/timed out under queue bound "
+                "serve smoke: all admitted colorings valid and bit-identical "
+                f"to the offline engine ({shed} shed/timed out under queue bound "
                 f"{config.max_queue}), clean shutdown"
             )
             return 0
@@ -957,7 +988,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="append one RunRecord per request to this JSONL")
     p_srv.add_argument("--smoke", action="store_true",
                        help="start the daemon, fire a pinned synthetic "
-                            "burst, assert valid colorings, shut down")
+                            "burst, assert valid colorings equal to the "
+                            "offline engine's, shut down")
     p_srv.add_argument("--seed", type=int, default=0,
                        help="smoke-burst request-set seed")
     p_srv.add_argument("--smoke-requests", dest="smoke_requests", type=int,

@@ -12,9 +12,11 @@ so the experiments can report *measured* defects against *allowed* defects
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import networkx as nx
+import numpy as np
 
 from .coloring import ColoringResult
 from .instance import ListDefectiveInstance
@@ -183,6 +185,37 @@ def validate_defective_coloring(
         max_seen = max(max_seen, same)
         if same > defect:
             violations.append(f"node {v}: defect {same} > {defect}")
+    return ValidationReport(not violations, violations, max_seen, defect)
+
+
+def validate_defective_csr(csr, assignment: Mapping, defect: int) -> ValidationReport:
+    """Classic ``d``-defective coloring (``defect=0``: proper) on a frozen
+    :class:`~repro.sim.engine.CSRGraph`.
+
+    Every node of ``csr`` must be colored, and no node may have more than
+    ``defect`` neighbors of its own color: what
+    :func:`validate_defective_coloring` (and, for ``defect=0``,
+    :func:`validate_proper_coloring`) checks on the networkx graph, with
+    one vectorized neighbor count.  Never raises: a coloring it cannot
+    read is reported invalid, so a serving loop can call it inline.
+    """
+    from ..sim.engine import equal_neighbor_counts
+
+    try:
+        colors = csr.gather(assignment)
+    except KeyError:
+        violations = [
+            f"node {v} is uncolored" for v in csr.nodes if v not in assignment
+        ]
+        return ValidationReport(False, violations, 0, defect)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return ValidationReport(False, [f"unreadable coloring: {exc}"], 0, defect)
+    same = equal_neighbor_counts(csr, colors)
+    violations = [
+        f"node {csr.nodes[i]}: defect {same[i]} > {defect}"
+        for i in np.flatnonzero(same > defect)
+    ]
+    max_seen = int(same.max()) if same.size else 0
     return ValidationReport(not violations, violations, max_seen, defect)
 
 

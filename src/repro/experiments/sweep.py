@@ -584,7 +584,7 @@ def _validate(csr, result, algorithm, params, config=None) -> bool:
     """Vectorized validity check appropriate to the algorithm's contract,
     on the cell's CSR.  ``config`` is an fk24 cell's
     :func:`_fk24_cell_config`, the one its run used."""
-    from ..sim.engine import equal_neighbor_counts
+    from ..core.validate import validate_defective_csr
 
     if _is_fk24(algorithm):
         # list arbdefective contract: the defect budget counts
@@ -592,11 +592,9 @@ def _validate(csr, result, algorithm, params, config=None) -> bool:
         lists, _space, defect = config
         return _fk24_valid(csr, result, lists, defect)
 
-    colors = csr.gather(result.assignment)
-    same = equal_neighbor_counts(csr, colors)
     default = 1 if algorithm.startswith("defective_split") else 0
     allowed = int(params.get("defect", default))
-    return bool(same.size == 0 or int(same.max()) <= allowed)
+    return validate_defective_csr(csr, result.assignment, allowed).ok
 
 
 def _ok_record(

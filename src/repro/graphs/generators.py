@@ -17,10 +17,17 @@ The families cover what the paper's algorithms are sensitive to:
 :func:`random_regular` is a port of networkx's Steger–Wormald pairing
 algorithm rather than a call into it, so its graphs no longer depend on
 the installed networkx version: the same ``(n, degree, seed)`` yields the
-same nodes, edges and adjacency order everywhere.  Its edges can also be
-emitted as an array (:func:`random_regular_edges`, reached by family name
-through :func:`family_edges`) for callers that freeze straight into CSR
-form and never need the networkx graph.
+same nodes, edges and adjacency order everywhere.
+
+Six families can also emit their edges as an array, in the networkx
+graph's ``graph.edges`` order (:func:`ring_edges`, :func:`path_edges`,
+:func:`random_regular_edges`, :func:`gnp_edges`, :func:`random_tree_edges`,
+:func:`hypercube_edges`; by family name through :func:`family_edges`), for
+callers that freeze straight into CSR form and never need the networkx
+graph.  For a graph built by inserting nodes and then edges in order,
+``graph.edges`` runs over the edges sorted by (insertion position of the
+endpoint inserted first, edge insertion index), each oriented from that
+endpoint; ``_relabel`` keeps that order and only maps the labels.
 """
 
 from __future__ import annotations
@@ -46,18 +53,40 @@ def _relabel(g: nx.Graph) -> nx.Graph:
     return nx.relabel_nodes(g, _repr_rank(g.nodes))
 
 
+def _at_least(what: str, name: str, value: int, low: int) -> None:
+    """The size check a generator and its edge emitter share."""
+    if value < low:
+        raise ValueError(f"{what} needs {name} >= {low}, got {value}")
+
+
 def ring(n: int) -> nx.Graph:
     """Cycle on ``n`` nodes (``n >= 3``)."""
-    if n < 3:
-        raise ValueError(f"ring needs n >= 3, got {n}")
+    _at_least("ring", "n", n, 3)
     return nx.cycle_graph(n)
+
+
+def ring_edges(n: int) -> np.ndarray:
+    """Edges of :func:`ring` in its ``graph.edges`` order.
+
+    ``cycle_graph`` adds ``(0, 1), (1, 2), ..., (n - 1, 0)``, so node
+    ``0`` emits ``(0, 1), (0, n - 1)`` and every later node ``i`` emits
+    ``(i, i + 1)`` up to ``n - 2``.
+    """
+    _at_least("ring", "n", n, 3)
+    return np.insert(path_edges(n), 1, (0, n - 1), axis=0)
 
 
 def path(n: int) -> nx.Graph:
     """Path on ``n`` nodes (``n - 1`` edges)."""
-    if n < 1:
-        raise ValueError(f"path needs n >= 1, got {n}")
+    _at_least("path", "n", n, 1)
     return nx.path_graph(n)
+
+
+def path_edges(n: int) -> np.ndarray:
+    """Edges of :func:`path` in its ``graph.edges`` order: ``(i, i + 1)``."""
+    _at_least("path", "n", n, 1)
+    tails = np.arange(n - 1, dtype=np.int64)
+    return np.stack([tails, tails + 1], axis=1)
 
 
 def clique(n: int) -> nx.Graph:
@@ -161,31 +190,41 @@ def random_regular_edges(n: int, degree: int, seed: int) -> np.ndarray:
     return _repr_ranks(n)[edges]
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=64)
 def _repr_ranks(n: int) -> np.ndarray:
     """``ranks[v]``: the rank of label ``v`` among ``0..n-1`` in ``repr``
     order, as :func:`_repr_rank` gives it (cached read-only: the emitter
-    and the graph builder of one graph both need it)."""
+    and the graph builder of one graph both need it, and served requests
+    repeat a few dozen small sizes)."""
     ranks = np.empty(n, dtype=np.int64)
     ranks[sorted(range(n), key=repr)] = np.arange(n, dtype=np.int64)
     ranks.flags.writeable = False
     return ranks
 
 
-def _regular_graph(n: int, edges: np.ndarray) -> nx.Graph:
-    """The networkx graph of :func:`random_regular` from its emitted edges.
+def _graph_from_rows(n: int, order: np.ndarray, edges: np.ndarray) -> nx.Graph:
+    """Nodes ``order`` inserted in that order, then ``edges`` in row order.
 
-    Nodes go in as ``_relabel`` inserts them (the rank of ``0``, of ``1``,
-    ...), edges in row order.  Every node is one shared ``int`` object,
-    so the graph holds ``n`` labels rather than one per edge endpoint;
-    indexing an object array of them creates no other ints, not even
-    short-lived ones.
+    Every node is one shared ``int`` object, so the graph holds ``n``
+    labels rather than one per edge endpoint; indexing an object array of
+    them creates no other ints, not even short-lived ones.
     """
     labels = np.arange(n).astype(object)
     g = nx.Graph()
-    g.add_nodes_from(labels[_repr_ranks(n)])
+    g.add_nodes_from(labels[order])
     g.add_edges_from(zip(labels[edges[:, 0]], labels[edges[:, 1]]))
     return g
+
+
+def _ranked_graph(n: int, edges: np.ndarray) -> nx.Graph:
+    """A ``_relabel``-ed family's graph from its emitted edges: nodes go in
+    as ``_relabel`` inserts them (the rank of ``0``, of ``1``, ...)."""
+    return _graph_from_rows(n, _repr_ranks(n), edges)
+
+
+def _ordered_graph(n: int, edges: np.ndarray) -> nx.Graph:
+    """A family's graph from its emitted edges, nodes inserted ``0..n-1``."""
+    return _graph_from_rows(n, np.arange(n), edges)
 
 
 def random_regular(n: int, degree: int, seed: int) -> nx.Graph:
@@ -195,20 +234,60 @@ def random_regular(n: int, degree: int, seed: int) -> nx.Graph:
     node order, per-node adjacency order and edge order, but is built
     once instead of twice, from :func:`random_regular_edges`.
     """
-    return _regular_graph(n, random_regular_edges(n, degree, seed))
+    return _ranked_graph(n, random_regular_edges(n, degree, seed))
+
+
+def _check_p(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0,1], got {p}")
 
 
 def gnp(n: int, p: float, seed: int) -> nx.Graph:
     """Erdos-Renyi G(n, p)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0,1], got {p}")
+    _check_p(p)
     return _relabel(nx.gnp_random_graph(n, p, seed=seed))
+
+
+def gnp_edges(n: int, p: float, seed: int) -> np.ndarray:
+    """Edges of :func:`gnp` in its ``graph.edges`` order.
+
+    ``gnp_random_graph`` draws one ``random.Random(seed).random()`` per
+    pair of ``combinations(range(n), 2)`` and adds the pair when the draw
+    is below ``p`` (for ``p <= 0`` it adds none and for ``p >= 1`` it
+    builds the complete graph, drawing nothing; the draws here are then
+    not made either).  Those pairs, in that order, are already the
+    graph's edge order; ``_relabel`` maps each label to its ``repr``
+    rank.  The draws go in chunks, so memory stays linear in the edges.
+    """
+    _check_p(p)
+    pairs = n * (n - 1) // 2
+    if p <= 0.0 or not pairs:
+        kept = np.empty(0, dtype=np.int64)
+    elif p >= 1.0:
+        kept = np.arange(pairs, dtype=np.int64)
+    else:
+        draw = random.Random(seed).random
+        kept = np.concatenate([
+            lo + np.flatnonzero(
+                np.array([draw() for _ in range(min(_GNP_CHUNK, pairs - lo))]) < p
+            )
+            for lo in range(0, pairs, _GNP_CHUNK)
+        ])
+    # pair k is (u, w): u's pairs (u, u + 1), ..., (u, n - 1) start at k = first[u]
+    u = np.arange(n, dtype=np.int64)
+    first = u * (2 * n - u - 1) // 2
+    tails = np.searchsorted(first, kept, side="right") - 1
+    heads = kept - first[tails] + tails + 1
+    return _repr_ranks(n)[np.stack([tails, heads], axis=1)]
+
+
+#: Pairs drawn per chunk by :func:`gnp_edges`.
+_GNP_CHUNK = 1 << 16
 
 
 def random_tree(n: int, seed: int) -> nx.Graph:
     """Uniform-attachment random tree on ``n`` nodes (seeded)."""
-    if n < 1:
-        raise ValueError(f"tree needs n >= 1, got {n}")
+    _at_least("tree", "n", n, 1)
     if n == 1:
         g = nx.Graph()
         g.add_node(0)
@@ -221,11 +300,41 @@ def random_tree(n: int, seed: int) -> nx.Graph:
     return g
 
 
+def random_tree_edges(n: int, seed: int) -> np.ndarray:
+    """Edges of :func:`random_tree` in its ``graph.edges`` order.
+
+    Node ``v`` joins by the edge ``(v, parent)``, drawn as in the
+    generator; the parent was inserted first, so the rows are the
+    ``(parent, v)`` pairs stably sorted by parent.
+    """
+    _at_least("tree", "n", n, 1)
+    randrange = random.Random(seed).randrange
+    children = np.arange(1, n, dtype=np.int64)
+    parents = np.array([randrange(v) for v in range(1, n)], dtype=np.int64)
+    order = np.argsort(parents, kind="stable")
+    return np.stack([parents[order], children[order]], axis=1)
+
+
 def hypercube(dim: int) -> nx.Graph:
     """The ``dim``-dimensional hypercube (2^dim nodes, degree dim)."""
-    if dim < 1:
-        raise ValueError(f"hypercube needs dim >= 1, got {dim}")
+    _at_least("hypercube", "dim", dim, 1)
     return _relabel(nx.hypercube_graph(dim))
+
+
+def hypercube_edges(dim: int) -> np.ndarray:
+    """Edges of :func:`hypercube` (``2**dim`` nodes) in its ``graph.edges``
+    order.
+
+    A node's ``repr`` rank is its bit tuple read as a binary number, and
+    the graph's order is ``u`` ascending, then for each bit of ``u``
+    from high to low that is 0, the row ``(u, u | 1 << bit)``.
+    """
+    _at_least("hypercube", "dim", dim, 1)
+    nodes = np.arange(2**dim, dtype=np.int64)[:, None]
+    flips = np.int64(1) << np.arange(dim - 1, -1, -1, dtype=np.int64)
+    up = (nodes & flips) == 0
+    tails = np.broadcast_to(nodes, up.shape)[up]
+    return np.stack([tails, (nodes | flips)[up]], axis=1)
 
 
 def torus(rows: int, cols: int) -> nx.Graph:
@@ -317,11 +426,34 @@ def family(name: str, **kwargs) -> nx.Graph:
     return table[name](**kwargs)
 
 
+def _sized(edges_of):
+    """The ``(n, edges)`` emitter of a family sized by its ``n`` argument."""
+
+    def emit(n: int, **kwargs) -> tuple[int, np.ndarray]:
+        return n, edges_of(n, **kwargs)
+
+    return emit
+
+
+def _hypercube_emit(dim: int) -> tuple[int, np.ndarray]:
+    return 2**dim, hypercube_edges(dim)
+
+
 #: Families that can emit their edges without building a networkx graph:
-#: ``name -> (emitter, builder)``.  ``emitter(**kwargs)`` returns the
-#: ``(m, 2)`` edge array over ``0..n-1`` in the family graph's edge order;
-#: ``builder(n, edges)`` turns it into the family's networkx graph.
-_EDGE_EMITTERS = {"random_regular": (random_regular_edges, _regular_graph)}
+#: ``name -> (emitter, builder)``.  ``emitter(**kwargs)`` returns ``(n,
+#: edges)``, the ``(m, 2)`` edge array over ``0..n-1`` in the family
+#: graph's edge order; ``builder(n, edges)`` turns it into the family's
+#: networkx graph, equal in node, edge and per-node adjacency order.  A
+#: ring's adjacency order is not its edge order (node ``n - 1`` meets
+#: ``n - 2`` before ``0``), so its builder runs the generator.
+_EDGE_EMITTERS = {
+    "ring": (_sized(ring_edges), lambda n, _edges: ring(n)),
+    "path": (_sized(path_edges), _ordered_graph),
+    "random_regular": (_sized(random_regular_edges), _ranked_graph),
+    "gnp": (_sized(gnp_edges), _ranked_graph),
+    "random_tree": (_sized(random_tree_edges), _ordered_graph),
+    "hypercube": (_hypercube_emit, _ordered_graph),
+}
 
 
 def family_edges(name: str, **kwargs) -> tuple[int, np.ndarray] | None:
@@ -335,7 +467,7 @@ def family_edges(name: str, **kwargs) -> tuple[int, np.ndarray] | None:
     if name not in _EDGE_EMITTERS:
         return None
     emitter, _builder = _EDGE_EMITTERS[name]
-    return kwargs["n"], emitter(**kwargs)
+    return emitter(**kwargs)
 
 
 def family_from_edges(name: str, n: int, edges: np.ndarray) -> nx.Graph:

@@ -26,7 +26,9 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Any, Mapping, Sequence
 
 from .protocol import (
     STATUS_OK,
@@ -246,12 +248,17 @@ _SYNTH_FAMILIES: tuple[tuple[str, dict[str, Any]], ...] = (
 )
 
 
-def _spread_colors(n: int) -> dict[int, int]:
+@lru_cache(maxsize=64)
+def _spread_colors(n: int) -> Mapping[int, int]:
     """Spread initial colors (node ``i`` -> ``64 * i``): forces a large
     initial palette so the Linial schedule is non-empty even on small
     graphs — identity colorings on tiny instances serve in zero rounds.
+
+    One read-only mapping per size, shared by every request of that
+    size: a long request stream holds a few dozen of them instead of
+    one dict per request.
     """
-    return {v: 64 * v for v in range(n)}
+    return MappingProxyType({v: 64 * v for v in range(n)})
 
 
 def synth_requests(

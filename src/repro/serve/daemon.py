@@ -14,6 +14,7 @@ mutable state beyond the batcher's own queue.
 from __future__ import annotations
 
 import asyncio
+import time
 from typing import Any
 
 from .protocol import (
@@ -131,7 +132,10 @@ class ColoringServer:
         misparsed as new requests, so framing cannot be trusted past
         this point.  (Historically the overrun raised out of
         ``readline`` and silently dropped the connection — the client
-        hung with no explanation.)
+        hung with no explanation.)  A reply line that would exceed the
+        same limit (a large coloring) is replaced by an ``error``
+        response that keeps the ``request_id`` and names the limit, so
+        a client reading under the protocol limit never sees it.
         """
         try:
             while True:
@@ -153,12 +157,13 @@ class ColoringServer:
                     break
                 if not line:
                     break
+                t_received = time.perf_counter()
                 try:
                     payload = decode_line(line)
-                    reply = await self._dispatch(payload)
+                    reply = await self._dispatch(payload, t_received)
                 except Exception as exc:  # noqa: BLE001 — wire-level fault
                     reply = error_response(exc).to_dict()
-                writer.write(encode_line(reply))
+                writer.write(self._reply_line(reply))
                 await writer.drain()
                 if payload_requests_shutdown(reply):
                     break
@@ -171,12 +176,29 @@ class ColoringServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _dispatch(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Route one decoded protocol op to its handler."""
+    def _reply_line(self, reply: dict[str, Any]) -> bytes:
+        """``reply`` as a protocol line, or, when that line would exceed
+        ``max_line_bytes``, an ``error`` line naming the limit."""
+        line = encode_line(reply)
+        if len(line) <= self.max_line_bytes:
+            return line
+        too_long = ValueError(
+            f"reply of {len(line)} bytes exceeds the protocol limit of "
+            f"{self.max_line_bytes} bytes"
+        )
+        return encode_line(
+            error_response(too_long, reply.get("request_id")).to_dict()
+        )
+
+    async def _dispatch(
+        self, payload: dict[str, Any], t_received: float
+    ) -> dict[str, Any]:
+        """Route one decoded protocol op to its handler (``t_received``:
+        when the line's decode began, the start of ``recipe_ms``)."""
         op = payload.get("op")
         if op == "color":
             request = ServeRequest.from_dict(payload.get("request") or {})
-            response = await self.batcher.submit(request)
+            response = await self.batcher.submit(request, received_at=t_received)
             return response.to_dict()
         if op == "ping":
             return {"op": "ping", "ok": True}

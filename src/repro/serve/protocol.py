@@ -20,6 +20,7 @@ graph from the recipe and replay the same request set through
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -58,7 +59,8 @@ class ServeRequest:
     :mod:`repro.graphs.generators` (e.g. ``ring`` with ``{"n": 16}``);
     ``initial_colors`` optionally overrides the identity initial
     coloring (JSON object keys arrive as strings and are coerced back to
-    integer node labels); ``defect`` selects the defect-``d`` schedule;
+    integer node labels; any read-only mapping will do, so request sets
+    can share one); ``defect`` selects the defect-``d`` schedule;
     ``faults`` is an optional :meth:`~repro.faults.FaultPlan.to_dict`
     payload — crash-stop plans are how the serving tests prove a dead
     instance cannot take its batch siblings down.  ``request_id`` is a
@@ -73,7 +75,7 @@ class ServeRequest:
     family: str
     family_params: dict[str, Any] = field(default_factory=dict)
     defect: int = 0
-    initial_colors: dict[int, int] | None = None
+    initial_colors: Mapping[int, int] | None = None
     faults: dict[str, Any] | None = None
     request_id: str | None = None
     deadline_ms: float | None = None
@@ -145,10 +147,28 @@ class ServeRequest:
 
     # ------------------------------------------------------------------
     def build_graph(self):
-        """Materialize the request's graph from its family recipe."""
+        """Materialize the request's networkx graph from its family recipe
+        (the offline oracle; the daemon serves from :meth:`build_csr`)."""
         from ..graphs.generators import family as build_family
 
         return build_family(self.family, **self.family_params)
+
+    def build_csr(self):
+        """The request's graph frozen to a :class:`~repro.sim.engine.CSRGraph`.
+
+        A family with an edge emitter
+        (:func:`~repro.graphs.generators.family_edges`) freezes straight
+        from its edges, with no networkx graph; any other family freezes
+        :meth:`build_graph`.  Either way the arrays equal
+        ``CSRGraph.from_networkx(self.build_graph())``.
+        """
+        from ..graphs.generators import family_edges
+        from ..sim.engine import CSRGraph
+
+        emitted = family_edges(self.family, **self.family_params)
+        if emitted is None:
+            return CSRGraph.from_networkx(self.build_graph())
+        return CSRGraph.from_edges(*emitted)
 
     def fault_plan(self):
         """The request's :class:`~repro.faults.FaultPlan`, or ``None``."""
@@ -172,8 +192,10 @@ class ServeResponse:
     controller before any work — ``retry_after_ms`` hints when a
     resubmission is likely to be admitted, derived from observed queue
     latency), or :data:`STATUS_TIMEOUT` (the request's ``deadline_ms``
-    expired first).  ``timing`` carries ``queue_ms`` (admission wait),
-    ``service_ms`` (resident rounds wall), and ``total_ms``; ``batch``
+    expired first).  ``timing`` carries ``recipe_ms`` (request decode
+    through instance built, before the daemon's clock starts),
+    ``queue_ms`` (admission wait), ``service_ms`` (resident rounds
+    wall), and ``total_ms`` (queue plus service); ``batch``
     carries the continuous-batching provenance (round admitted,
     rounds resident, occupancy at admission).
     """

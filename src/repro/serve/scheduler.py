@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..core.validate import validate_defective_coloring, validate_proper_coloring
+from ..core.validate import validate_defective_csr
 from ..obs import LatencyTracker, OccupancyTracker, OutcomeTracker, RunRecorder
 from ..obs.latency import quantile
 from ..sim import HaltingError, LinialBatchStepper, make_batch_instance, require
@@ -125,8 +125,8 @@ class _Ticket:
     __slots__ = (
         "request",
         "future",
-        "graph",
         "instance",
+        "recipe_ms",
         "t_submitted",
         "t_admitted",
         "admitted_round",
@@ -137,14 +137,16 @@ class _Ticket:
         self,
         request: ServeRequest,
         future: "asyncio.Future[ServeResponse]",
-        graph: Any,
         instance: BatchInstance,
+        t_received: float,
     ) -> None:
         self.request = request
         self.future = future
-        self.graph = graph
+        #: Holds the request's CSR (``instance.csr``); no networkx graph.
         self.instance = instance
         self.t_submitted = time.perf_counter()
+        #: Request decode through instance built; not part of ``total_ms``.
+        self.recipe_ms = (self.t_submitted - t_received) * 1000.0
         self.t_admitted: float | None = None
         self.admitted_round: int | None = None
         #: Absolute ``perf_counter`` cutoff, or ``None`` for no deadline.
@@ -161,10 +163,13 @@ class _Ticket:
         return (time.perf_counter() if now is None else now) >= self.deadline
 
     def timing(self, now: float | None = None) -> dict[str, float]:
-        """Queue/total wall split at ``now`` (for timeout responses)."""
+        """Recipe/queue/total wall split at ``now`` (for timeout responses)."""
         now = time.perf_counter() if now is None else now
         t_admitted = self.t_admitted
-        out = {"total_ms": (now - self.t_submitted) * 1000.0}
+        out = {
+            "recipe_ms": self.recipe_ms,
+            "total_ms": (now - self.t_submitted) * 1000.0,
+        }
         if t_admitted is not None:
             out["queue_ms"] = (t_admitted - self.t_submitted) * 1000.0
             out["service_ms"] = (now - t_admitted) * 1000.0
@@ -180,8 +185,8 @@ class ContinuousBatcher:
     a ticket, returns a future); :meth:`run` is the consumer loop the
     daemon spawns as a task — it ticks while work exists and sleeps on
     an event otherwise.  :meth:`stats` snapshots queue/batch occupancy
-    and the three latency dimensions (queue wait, service, total) for
-    the ``stats`` protocol op and the benchmark harness.
+    and the latency dimensions (recipe build, queue wait, service,
+    total) for the ``stats`` protocol op and the benchmark harness.
     """
 
     def __init__(self, config: ServeConfig | None = None) -> None:
@@ -199,6 +204,7 @@ class ContinuousBatcher:
         #: :meth:`run` *after* every pending future was failed with a
         #: structured error (the no-hanging-awaiters contract).
         self.crashed: BaseException | None = None
+        self.recipe_latency = LatencyTracker()
         self.queue_latency = LatencyTracker()
         self.service_latency = LatencyTracker()
         self.total_latency = LatencyTracker()
@@ -222,12 +228,20 @@ class ContinuousBatcher:
         return bool(self._queue) or not self.stepper.drained
 
     # ------------------------------------------------------------------
-    def submit(self, request: ServeRequest) -> "asyncio.Future[ServeResponse]":
+    def submit(
+        self, request: ServeRequest, *, received_at: float | None = None
+    ) -> "asyncio.Future[ServeResponse]":
         """Enqueue one request; the future resolves when it finishes.
 
-        The graph/schedule/fault-plan are materialized here so a
-        malformed request fails fast with ``status="error"`` instead of
-        occupying a queue slot.  This is also the admission controller:
+        The CSR/schedule/fault-plan are materialized here so a malformed
+        request fails fast with ``status="error"`` instead of occupying a
+        queue slot.  The recipe freezes straight into CSR form
+        (:meth:`~repro.serve.protocol.ServeRequest.build_csr`), with no
+        networkx graph for a family that has an edge emitter; the
+        response's ``timing.recipe_ms`` runs from ``received_at`` (the
+        ``perf_counter`` time the daemon began decoding the request
+        line; by default, this call) to the built instance.  This is
+        also the admission controller:
         a draining or crashed scheduler answers immediately, and with
         ``max_queue`` configured a full queue sheds per ``shed_policy``
         — the shed request resolves ``status="rejected"`` with a
@@ -240,6 +254,7 @@ class ContinuousBatcher:
         (a request shed this way is never inspected, so even a
         malformed one resolves ``rejected``, not ``error``).
         """
+        t_received = time.perf_counter() if received_at is None else received_at
         future: asyncio.Future[ServeResponse] = (
             asyncio.get_running_loop().create_future()
         )
@@ -295,7 +310,6 @@ class ContinuousBatcher:
             )
             return future
         try:
-            graph = request.build_graph()
             recorder = None
             if self.config.record_jsonl is not None:
                 recorder = RunRecorder(
@@ -304,7 +318,7 @@ class ContinuousBatcher:
                     jsonl_path=self.config.record_jsonl,
                 )
             instance = make_batch_instance(
-                graph,
+                csr=request.build_csr(),
                 initial_colors=request.initial_colors,
                 defect=request.defect,
                 faults=request.fault_plan(),
@@ -315,7 +329,8 @@ class ContinuousBatcher:
             self.outcomes.record(STATUS_ERROR)
             future.set_result(error_response(exc, request.request_id))
             return future
-        ticket = _Ticket(request, future, graph, instance)
+        ticket = _Ticket(request, future, instance, t_received)
+        self.recipe_latency.add(ticket.recipe_ms / 1000.0)
         if shed_full:
             # drop-head keeps the newcomer: the queue head paid its
             # build for nothing, but "oldest" buys freshness, not speed
@@ -433,6 +448,7 @@ class ContinuousBatcher:
         self.service_latency.add(service_s)
         self.total_latency.add(total_s)
         timing = {
+            "recipe_ms": ticket.recipe_ms,
             "queue_ms": queue_s * 1000.0,
             "service_ms": service_s * 1000.0,
             "total_ms": total_s * 1000.0,
@@ -466,13 +482,9 @@ class ContinuousBatcher:
             result, metrics, palette = outcome
             valid = None
             if self.config.validate:
-                defect = ticket.request.defect
-                report = (
-                    validate_proper_coloring(ticket.graph, result)
-                    if defect == 0
-                    else validate_defective_coloring(ticket.graph, result, defect)
-                )
-                valid = bool(report.ok)
+                valid = validate_defective_csr(
+                    instance.csr, result.assignment, ticket.request.defect
+                ).ok
             self.served += 1
             self.outcomes.record(STATUS_OK)
             response = ServeResponse(
@@ -633,6 +645,7 @@ class ContinuousBatcher:
             "outcomes": self.outcomes.summary(),
             "occupancy_stats": self.occupancy_stats.summary(),
             "latency": {
+                "recipe": self.recipe_latency.summary(),
                 "queue": self.queue_latency.summary(),
                 "service": self.service_latency.summary(),
                 "total": self.total_latency.summary(),

@@ -461,18 +461,19 @@ class TestSweepFaultTolerance:
 
         sentinel = tmp_path / "kill-once"
         sentinel.write_text("")
-        real_family = graphs_mod.family
+        # path cells are built from their emitted edges
+        real_family_edges = graphs_mod.family_edges
 
-        def family_with_kill(name, **params):
+        def family_edges_with_kill(name, **params):
             if params.get("n") == 10 and sentinel.exists():
                 import os
                 import signal
 
                 sentinel.unlink()
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real_family(name, **params)
+            return real_family_edges(name, **params)
 
-        monkeypatch.setattr(graphs_mod, "family", family_with_kill)
+        monkeypatch.setattr(graphs_mod, "family_edges", family_edges_with_kill)
         cells = [
             SweepCell.make("path", {"n": n}, "linial_vectorized")
             for n in (6, 8, 10, 12, 14, 16)

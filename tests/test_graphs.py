@@ -115,7 +115,7 @@ class TestGenerators:
             family("nope")
 
     def test_family_edges_only_for_emitting_families(self):
-        assert family_edges("ring", n=5) is None
+        assert family_edges("clique", n=5) is None
         n, edges = family_edges("random_regular", n=10, degree=3, seed=2)
         assert n == 10 and edges.shape == (15, 2) and edges.dtype == np.int64
 
@@ -209,6 +209,65 @@ class TestRandomRegularPort:
         # "10" sorts before "2", so label 10 gets rank 1 and label 2 rank 2
         g = nx.Graph([(2, 10), (10, 1)])
         assert dict(zip(g.nodes, _relabel(g).nodes)) == {2: 2, 10: 1, 1: 0}
+
+
+#: ``(family, params)`` of every emitting family other than
+#: ``random_regular`` (pinned by :class:`TestRandomRegularPort`), over the
+#: sizes each emitter's order has to hold for: ``gnp`` from ``n = 10`` on
+#: permutes its labels by ``repr`` rank, and ``p`` in ``{0, 1}`` takes the
+#: generator's draw-free branches.
+EMITTER_CASES = [
+    *(("ring", {"n": n}) for n in range(3, 65)),
+    *(("path", {"n": n}) for n in range(1, 65)),
+    *(
+        ("gnp", {"n": n, "p": p, "seed": seed})
+        for n in range(1, 61)
+        for p in (0.0, 0.15, 0.5, 1.0)
+        for seed in range(6)
+    ),
+    *(("random_tree", {"n": n, "seed": seed}) for n in range(1, 65) for seed in range(6)),
+    *(("hypercube", {"dim": dim}) for dim in range(1, 8)),
+]
+
+
+class TestEdgeEmitters:
+    """Each family's emitted edges freeze like its networkx graph, and its
+    builder rebuilds that graph in node, edge and adjacency order."""
+
+    @pytest.mark.parametrize("name", ["ring", "path", "gnp", "random_tree", "hypercube"])
+    def test_matches_networkx_generator(self, name):
+        cases = [params for family_name, params in EMITTER_CASES if family_name == name]
+        assert cases
+        for params in cases:
+            graph = family(name, **params)
+            n, edges = family_edges(name, **params)
+            assert edges.dtype == np.int64 and edges.shape == (graph.number_of_edges(), 2)
+            assert _same_csr(
+                CSRGraph.from_edges(n, edges), CSRGraph.from_networkx(graph)
+            ), (name, params)
+            assert _same_graph(family_from_edges(name, n, edges), graph), (name, params)
+
+    def test_emitters_validate_like_the_generators(self):
+        for name, params in [
+            ("ring", {"n": 2}),
+            ("path", {"n": 0}),
+            ("gnp", {"n": 5, "p": 1.5, "seed": 0}),
+            ("random_tree", {"n": 0, "seed": 0}),
+            ("hypercube", {"dim": 0}),
+        ]:
+            with pytest.raises(ValueError) as built:
+                family(name, **params)
+            with pytest.raises(ValueError) as emitted:
+                family_edges(name, **params)
+            assert str(emitted.value) == str(built.value)
+
+    def test_emitters_build_no_networkx_graph(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("networkx graph built")
+
+        monkeypatch.setattr(nx.Graph, "__init__", refuse)
+        for name, params in EMITTER_CASES:
+            family_edges(name, **params)
 
 
 class TestBalancedOrientation:

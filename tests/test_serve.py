@@ -357,6 +357,111 @@ class TestColoringServer:
 
 
 # ----------------------------------------------------------------------
+# the recipe path: requests freeze straight into CSR form
+# ----------------------------------------------------------------------
+SYNTH_FAMILIES = {"ring", "path", "random_regular", "gnp", "random_tree", "hypercube"}
+
+
+class TestRecipeCSR:
+    """The daemon turns a recipe into an instance with no networkx graph,
+    and serves exactly what the offline engine computes on that graph."""
+
+    def test_build_csr_equals_the_networkx_freeze(self):
+        from repro.sim.engine import CSRGraph
+
+        requests = synth_requests(seed=7, count=300)
+        assert {r.family for r in requests} == SYNTH_FAMILIES
+        for request in requests:
+            got = request.build_csr()
+            want = CSRGraph.from_networkx(request.build_graph())
+            assert (got.n, got.nodes, got.index) == (want.n, want.nodes, want.index)
+            for name in ("indptr", "indices", "src"):
+                assert (getattr(got, name) == getattr(want, name)).all(), request
+
+    def test_submit_builds_no_networkx_graph(self, monkeypatch):
+        from tests.test_sweep import _count_networkx_graphs
+
+        requests = synth_requests(seed=11, count=60, defect_choices=(0, 1, 2))
+        assert {r.family for r in requests} == SYNTH_FAMILIES
+
+        async def scenario():
+            batcher = ContinuousBatcher(ServeConfig(max_batch=16))
+            futures = [batcher.submit(r) for r in requests]
+            while batcher.has_work:
+                batcher.tick()
+            return await asyncio.gather(*futures)
+
+        graphs = _count_networkx_graphs(monkeypatch)
+        responses = asyncio.run(scenario())
+        assert graphs == []
+        assert all(r.status == "ok" and r.valid is True for r in responses)
+
+    def test_served_equals_offline_with_defects_and_a_crash_plan(self):
+        from repro.sim import linial_vectorized_batch
+
+        requests = synth_requests(
+            seed=4,
+            count=48,
+            defect_choices=(0, 1, 2),
+            fault_plans=(None, CRASH.to_dict()),
+        )
+
+        async def scenario():
+            server = ColoringServer(ServeConfig(max_batch=8))
+            await server.start()
+            try:
+                report = await fire_traffic(
+                    "127.0.0.1", server.port, requests, clients=6
+                )
+                return report, server.batcher.stats()
+            finally:
+                await server.stop()
+
+        report, stats = asyncio.run(scenario())
+        offline = linial_vectorized_batch(
+            [r.build_graph() for r in requests],
+            initial_colors=[r.initial_colors for r in requests],
+            defect=[r.defect for r in requests],
+            faults=[r.fault_plan() for r in requests],
+            return_exceptions=True,
+        )
+        statuses = set()
+        for request, want in zip(requests, offline):
+            served = report.response_for(request.request_id)
+            statuses.add(served.status)
+            assert served.timing["recipe_ms"] >= 0
+            if isinstance(want, HaltingError):
+                assert served.status == "halted"
+                assert served.error["message"] == str(want)
+                continue
+            result, metrics, palette = want
+            assert served.status == "ok" and served.valid is True
+            assert served.assignment() == result.assignment
+            assert served.palette == palette
+            assert served.rounds == metrics.rounds
+            assert served.total_bits == metrics.total_bits
+        assert statuses == {"ok", "halted"}
+        assert {r.defect for r in requests} == {0, 1, 2}
+        assert stats["latency"]["recipe"]["count"] == len(requests)
+
+    def test_synth_requests_share_one_read_only_coloring_per_size(self):
+        from dataclasses import replace
+
+        from repro.serve import encode_line
+
+        requests = synth_requests(seed=2, count=200)
+        by_size: dict = {}
+        for request in requests:
+            colors = request.initial_colors
+            assert by_size.setdefault(len(colors), colors) is colors
+            with pytest.raises(TypeError):
+                colors[0] = 1
+            private = replace(request, initial_colors=dict(colors))
+            assert private == request
+            assert encode_line(private.to_dict()) == encode_line(request.to_dict())
+
+
+# ----------------------------------------------------------------------
 # TrafficReport accounting (regressions for the silent-overwrite /
 # inflated-rps / phantom-clients bugs)
 # ----------------------------------------------------------------------

@@ -494,3 +494,41 @@ class TestOversizedLines:
             await server.stop()
 
         asyncio.run(scenario())
+
+    def test_oversized_reply_becomes_error_naming_limit(self):
+        async def scenario():
+            server = ColoringServer(
+                ServeConfig(max_batch=2), max_line_bytes=1024
+            )
+            await server.start()
+            # a client reading under the same 1024-byte protocol limit
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port, limit=1024
+            )
+            try:
+                # a small recipe (identity colors) with a large coloring
+                big = ServeRequest(
+                    family="ring", family_params={"n": 400}, request_id="big"
+                )
+                for request in (big, request_for(8, rid="small")):
+                    writer.write(
+                        encode_line({"op": "color", "request": request.to_dict()})
+                    )
+                    await writer.drain()
+                big = ServeResponse.from_dict(
+                    decode_line(await asyncio.wait_for(reader.readline(), 10))
+                )
+                # framing survived: the next reply on the connection is read
+                small = ServeResponse.from_dict(
+                    decode_line(await asyncio.wait_for(reader.readline(), 10))
+                )
+            finally:
+                writer.close()
+                await server.stop()
+            return big, small
+
+        big, small = asyncio.run(scenario())
+        assert big.status == "error"
+        assert big.request_id == "big"
+        assert "1024" in big.error["message"]
+        assert small.status == "ok" and small.request_id == "small"

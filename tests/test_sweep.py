@@ -210,7 +210,7 @@ class TestSingleFreeze:
 
     def test_family_without_emitter_freezes_its_graph(self, monkeypatch):
         calls = _count_freezes(monkeypatch)
-        compute_cell(SweepCell.make("ring", {"n": 30}, "linial_vectorized"))
+        compute_cell(SweepCell.make("clique", {"n": 12}, "linial_vectorized"))
         assert calls == ["from_networkx"]
 
     @pytest.mark.parametrize(

@@ -10,12 +10,15 @@ from repro.core.validate import (
     validate_arbdefective,
     validate_arbdefective_plain,
     validate_defective_coloring,
+    validate_defective_csr,
     validate_generalized_oldc,
     validate_ldc,
     validate_oldc,
     validate_proper_coloring,
 )
-from repro.graphs import path, ring
+from repro.graphs import gnp, path, ring
+from repro.sim.engine import CSRGraph
+from repro.sim.vectorized import linial_vectorized
 
 
 def triangle_instance(defect=0, colors=3):
@@ -162,6 +165,59 @@ class TestDefectivePlain:
         rep = validate_defective_coloring(g, res, defect=1)
         assert not rep.ok
         assert rep.max_defect_seen == 2
+
+
+class TestDefectiveCSR:
+    """The CSR validator agrees with the networkx ones it stands in for."""
+
+    @staticmethod
+    def oracle(g, result, defect):
+        if defect == 0:
+            return validate_proper_coloring(g, result)
+        return validate_defective_coloring(g, result, defect)
+
+    @pytest.mark.parametrize("defect", [0, 1, 2])
+    def test_agrees_on_served_outputs(self, defect):
+        for seed in range(4):
+            g = gnp(30, 0.3, seed=seed)
+            colors = {v: 64 * v for v in g.nodes}
+            result, _metrics, _palette = linial_vectorized(
+                g, initial_colors=colors, defect=defect
+            )
+            rep = validate_defective_csr(
+                CSRGraph.from_networkx(g), result.assignment, defect
+            )
+            assert rep.ok and self.oracle(g, result, defect).ok
+            assert rep.max_defect_seen <= defect
+
+    @pytest.mark.parametrize("defect", [0, 1])
+    def test_agrees_on_a_monochromatic_edge(self, defect):
+        g = path(4)
+        csr = CSRGraph.from_networkx(g)
+        # node 1 has two same-colored neighbors: too many for either budget
+        result = ColoringResult({0: 5, 1: 5, 2: 5, 3: 0})
+        rep = validate_defective_csr(csr, result.assignment, defect)
+        assert not rep.ok and not self.oracle(g, result, defect).ok
+        assert rep.max_defect_seen == 2
+        # one monochromatic edge fits a defect-1 budget only
+        result = ColoringResult({0: 5, 1: 5, 2: 0, 3: 1})
+        rep = validate_defective_csr(csr, result.assignment, defect)
+        assert rep.ok == self.oracle(g, result, defect).ok == (defect == 1)
+
+    def test_uncolored_node_is_invalid(self):
+        csr = CSRGraph.from_networkx(path(3))
+        rep = validate_defective_csr(csr, {0: 0, 2: 0}, 0)
+        assert not rep.ok
+        assert rep.violations == ["node 1 is uncolored"]
+
+    def test_unreadable_coloring_is_invalid_not_raised(self):
+        csr = CSRGraph.from_networkx(path(2))
+        rep = validate_defective_csr(csr, {0: "red", 1: 2**80}, 0)
+        assert not rep.ok
+
+    def test_edgeless_and_empty_graphs(self):
+        assert validate_defective_csr(CSRGraph.from_edges(3, []), {0: 0, 1: 0, 2: 0}, 0)
+        assert validate_defective_csr(CSRGraph.from_edges(0, []), {}, 0)
 
 
 class TestArbdefectivePlain:
