@@ -25,17 +25,16 @@ either writes the full experiment record or — with ``--cache-dir`` /
 the reference-vs-vectorized cross-engine comparisons; ``fuzz`` replays
 the pinned failure corpus and then runs the differential
 reference-vs-vectorized fuzz loop (see ``docs/FUZZING.md``);
-``fuzz --backend compiled`` runs the same loop against the compiled
-backend of :mod:`repro.sim.compiled` (fault cases skipped — the backend
-declares ``supports_faults=False``); ``serve`` runs the
+``fuzz --backend partitioned`` runs the same loop against the
+shard-parallel driver of :mod:`repro.sim.partition` (fault cases skipped
+— the backend declares ``supports_faults=False``); ``serve`` runs the
 :mod:`repro.serve` continuous-batching daemon on a local TCP port
 (``--smoke`` instead starts it, fires a pinned synthetic burst from
 concurrent clients, asserts every coloring validates and equals the
 offline batched engine's on the recipe's networkx graph, and shuts down
 — the CI serving check); ``backends`` prints the
-:mod:`repro.sim.backends` registry with capabilities/availability and
-the cross-module consistency check; ``families`` lists the available
-graph generators and their parameters.
+:mod:`repro.sim.backends` registry with each backend's capabilities;
+``families`` lists the available graph generators and their parameters.
 """
 
 from __future__ import annotations
@@ -800,17 +799,10 @@ def _cmd_families(_args: argparse.Namespace) -> int:
 
 
 def _cmd_backends(_args: argparse.Namespace) -> int:
-    from .sim.backends import consistency_report, describe
+    from .sim.backends import describe
 
     print(describe())
-    report = consistency_report()
-    if report["ok"]:
-        print("registry consistency: OK")
-        return 0
-    print("registry consistency: PROBLEMS")
-    for problem in report["problems"]:
-        print(f"  - {problem}")
-    return 1
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -901,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "the selected backend implements)")
     p_fuzz.add_argument("--backend", default="vectorized",
                         help="which repro.sim.backends backend supplies the "
-                             "fast side (vectorized, batched, compiled); "
+                             "fast side (vectorized, batched, partitioned); "
                              "fault cases are skipped for backends without "
                              "supports_faults")
     p_fuzz.add_argument("--corpus", default="tests/corpus",
@@ -1035,8 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bke = sub.add_parser(
         "backends",
-        help="list execution backends, their capabilities, and the "
-             "registry consistency check",
+        help="list execution backends and their capabilities",
     )
     p_bke.set_defaults(func=_cmd_backends)
 

@@ -67,10 +67,8 @@ the packing and the per-cell loop as fallback.
 
 Algorithms are resolved by name: first against the engine fast paths
 (``linial_vectorized``, ``classic_vectorized``, ``greedy_vectorized``,
-``defective_split``, ``linial_faulty_vectorized`` on the vectorized CSR
-engine; ``linial_compiled``, ``greedy_compiled``,
-``defective_split_compiled`` on the compiled backend of
-:mod:`repro.sim.compiled`), then against the recorder-aware reference
+``defective_split``, ``linial_faulty_vectorized``, ``fk24_vectorized``
+on the vectorized CSR engine), then against the recorder-aware reference
 paths (``linial``, ``classic``, ``greedy``, ``linial_faulty``,
 ``linial_resilient`` — the first three are equivalence twins of the fast
 paths, the fault paths inject a :class:`~repro.faults.FaultPlan` taken
@@ -80,13 +78,12 @@ implementations), so one sweep can mix engine runs at large n with
 reference runs at small n.  Which backend owns each sweep name — and
 which names batch — is declared once in :mod:`repro.sim.backends`
 (:func:`~repro.sim.backends.backend_of_sweep_algorithm`,
-:func:`~repro.sim.backends.batchable_sweep_algorithms`); this module's
-dispatch tables are checked against that registry by
-:func:`repro.sim.backends.consistency_report`.  Fast-path and
-reference-path cells attach a full per-round
-:class:`~repro.obs.RunRecord` to their cache record; cross-engine pairs
-(see :data:`repro.analysis.report.ENGINE_PAIRS`) must agree row for
-row — including the per-round fault columns.
+:func:`~repro.sim.backends.batchable_sweep_algorithms`); every name a
+backend declares must have a runner in this module's dispatch tables
+(``tests/test_registry.py``).  Fast-path and reference-path cells attach
+a full per-round :class:`~repro.obs.RunRecord` to their cache record;
+cross-engine pairs (see :data:`repro.analysis.report.REFERENCE_TWINS`)
+must agree row for row — including the per-round fault columns.
 """
 
 from __future__ import annotations
@@ -405,36 +402,6 @@ def _run_linial_resilient(graph, params, recorder=None):
     return res, metrics, palette, info
 
 
-def _run_linial_compiled(cg, params, recorder=None):
-    from ..sim.compiled import linial_compiled
-
-    return linial_compiled(
-        cg.freeze(), defect=int(params.get("defect", 0)), recorder=recorder
-    )
-
-
-def _run_greedy_compiled(cg, params, recorder=None):
-    from ..core.instance import delta_plus_one_instance
-    from ..sim.compiled import greedy_list_compiled
-
-    csr = cg.freeze()
-    instance = delta_plus_one_instance(cg.graph)
-    res = greedy_list_compiled(instance, _csr=csr)
-    space = instance.space.size
-    n, m = csr.n, csr.num_directed_edges // 2
-    return res, _announce_coloring_metrics(n, m, space, recorder), space
-
-
-def _run_defective_split_compiled(cg, params, recorder=None):
-    from ..core.coloring import ColoringResult
-    from ..sim.compiled import defective_split_compiled
-
-    classes, metrics, palette = defective_split_compiled(
-        cg.freeze(), defect=int(params.get("defect", 1)), recorder=recorder
-    )
-    return ColoringResult(classes), metrics, palette
-
-
 def _fk24_cell_config(graph, params):
     """The cell's (lists, space, defect) — built once per cell and shared by
     its run (fast path, reference path or batched twin, so all three run
@@ -481,9 +448,6 @@ FAST_PATHS: dict[str, Callable] = {
     "defective_split": _run_defective_split,
     "linial_faulty_vectorized": _run_linial_faulty_vectorized,
     "fk24_vectorized": _run_fk24_vectorized,
-    "linial_compiled": _run_linial_compiled,
-    "greedy_compiled": _run_greedy_compiled,
-    "defective_split_compiled": _run_defective_split_compiled,
 }
 
 
@@ -493,12 +457,12 @@ def _batchable_algorithms() -> tuple[str, ...]:
     return batchable_sweep_algorithms()
 
 
-#: Fast paths with a block-diagonal batched twin (:mod:`repro.sim.batch`
-#: / :func:`repro.sim.compiled.linial_compiled_batch`).  Derived from the
-#: backend registry (:func:`repro.sim.backends.batchable_sweep_algorithms`)
-#: so a backend declaring an algorithm ``batched`` is the single source of
-#: truth.  A worker batch whose pending cells share one of these
-#: algorithms runs them as a single block-diagonal execution (see
+#: Fast paths with a block-diagonal batched twin (:mod:`repro.sim.batch`).
+#: Derived from the backend registry
+#: (:func:`repro.sim.backends.batchable_sweep_algorithms`) so a backend
+#: declaring an algorithm ``batched`` is the single source of truth.  A
+#: worker batch whose pending cells share one of these algorithms runs
+#: them as a single block-diagonal execution (see
 #: :func:`compute_cells_batched`) instead of looping `compute_cell`.
 BATCHABLE_ALGORITHMS: tuple[str, ...] = _batchable_algorithms()
 
@@ -761,15 +725,6 @@ def _run_batched(
     recs = [rec for _, _, _, rec in built]
     if algorithm == "linial_vectorized":
         return linial_vectorized_batch(
-            gs,
-            defect=[int(p.get("defect", 0)) for p in params_list],
-            recorders=recs,
-            return_exceptions=True,
-        )
-    if algorithm == "linial_compiled":
-        from ..sim.compiled import linial_compiled_batch
-
-        return linial_compiled_batch(
             gs,
             defect=[int(p.get("defect", 0)) for p in params_list],
             recorders=recs,

@@ -43,7 +43,6 @@ from .corpus import (
     save_case,
 )
 from .differential import (
-    COMPILED_PAIRS,
     ENGINE_PAIRS,
     PARTITIONED_PAIRS,
     CaseOutcome,
@@ -58,7 +57,6 @@ from .runner import FuzzFailure, FuzzReport, fuzz_run
 from .shrink import shrink_case
 
 __all__ = [
-    "COMPILED_PAIRS",
     "PARTITIONED_PAIRS",
     "CORPUS_SCHEMA_VERSION",
     "ENGINE_PAIRS",

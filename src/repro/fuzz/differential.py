@@ -55,17 +55,11 @@ from ..core.validate import (
     validate_proper_coloring,
 )
 from ..obs import (
-    ENGINE_COMPILED,
     ENGINE_REFERENCE,
     ENGINE_VECTORIZED,
     RunRecord,
     RunRecorder,
     compare_round_accounting,
-)
-from ..sim.compiled import (
-    defective_split_compiled,
-    greedy_list_compiled,
-    linial_compiled,
 )
 from ..sim.metrics import RunMetrics
 from ..sim.referee import RefereedAlgorithm
@@ -383,51 +377,6 @@ ENGINE_PAIRS: dict[str, EnginePair] = {
 }
 
 
-# ----------------------------------------------------------------------
-# compiled-backend pairs
-# ----------------------------------------------------------------------
-def _cpl_linial(case: FuzzCase) -> EngineRun:
-    recorder = RunRecorder(engine=ENGINE_COMPILED)
-    result, metrics, palette = linial_compiled(
-        case.graph(),
-        initial_colors=case.initial_colors,
-        defect=case.defect,
-        recorder=recorder,
-        faults=_case_plan(case),
-    )
-    return EngineRun(dict(result.assignment), metrics, recorder.record, palette)
-
-
-def _cpl_greedy(case: FuzzCase) -> EngineRun:
-    result = greedy_list_compiled(case.instance())
-    return EngineRun(dict(result.assignment))
-
-
-def _cpl_defective_split(case: FuzzCase) -> EngineRun:
-    recorder = RunRecorder(engine=ENGINE_COMPILED)
-    classes, metrics, palette = defective_split_compiled(
-        case.graph(), case.defect, recorder=recorder
-    )
-    return EngineRun(dict(classes), metrics, recorder.record, palette)
-
-
-#: Reference-vs-**compiled** pairs: the same reference sides and oracles
-#: as :data:`ENGINE_PAIRS` with the compiled backend on the fast side.
-#: No ``classic`` entry — the compiled backend declares that algorithm
-#: unsupported (see :data:`repro.sim.backends.BACKENDS`) — and fault
-#: cases must be filtered by the caller (``supports_faults=False``).
-COMPILED_PAIRS: dict[str, EnginePair] = {
-    "linial": EnginePair("linial", _ref_linial, _cpl_linial, _oracle_linial),
-    "greedy": EnginePair("greedy", _ref_greedy, _cpl_greedy, _oracle_greedy),
-    "defective_split": EnginePair(
-        "defective_split",
-        _ref_defective_split,
-        _cpl_defective_split,
-        _oracle_defective_split,
-    ),
-}
-
-
 def _par_linial(case: FuzzCase) -> EngineRun:
     from ..obs import ENGINE_PARTITIONED
     from ..sim.partition import run_partitioned_linial
@@ -476,8 +425,6 @@ def pairs_for_backend(backend: str = "vectorized") -> dict[str, EnginePair]:
     spec = get_backend(backend)
     if spec.name in ("vectorized", "batched"):
         return ENGINE_PAIRS
-    if spec.name == "compiled":
-        return COMPILED_PAIRS
     if spec.name == "partitioned":
         return PARTITIONED_PAIRS
     raise CapabilityError(
@@ -734,40 +681,12 @@ _VEC_BATCH: dict[str, Callable[[list[FuzzCase]], list]] = {
 }
 
 
-def _cpl_linial_batch(cases: list[FuzzCase]) -> list:
-    from ..obs import RunRecorder as _RR
-    from ..sim.compiled import linial_compiled_batch
-
-    recs = [_RR(engine=ENGINE_COMPILED) for _ in cases]
-    outs = linial_compiled_batch(
-        [c.graph() for c in cases],
-        initial_colors=[c.initial_colors for c in cases],
-        defect=[c.defect for c in cases],
-        recorders=recs,
-        faults=[_case_plan(c) for c in cases],
-        return_exceptions=True,
-    )
-    return [
-        out
-        if isinstance(out, BaseException)
-        else EngineRun(dict(out[0].assignment), out[1], rec.record, out[2])
-        for out, rec in zip(outs, recs)
-    ]
-
-
-#: Batched compiled twin of :data:`COMPILED_PAIRS`' fast sides (the
-#: compiled backend declares only ``linial`` batched).
-_CPL_BATCH: dict[str, Callable[[list[FuzzCase]], list]] = {
-    "linial": _cpl_linial_batch,
-}
-
-
 def _batched_runner(
     name: str, pair: EnginePair
 ) -> Callable[[list[FuzzCase]], list] | None:
     """The batched fast side for ``pair``, or ``None`` to run per-case.
 
-    Dispatch is by *value* equality against the stock registries:
+    Dispatch is by *value* equality against the stock registry:
     ``dataclasses.replace`` copies of a stock pair (e.g. a caller-built
     ``pairs=`` dict) keep their batched path, while genuinely mutated
     pairs — different callables or oracles — fall back to per-case
@@ -775,8 +694,6 @@ def _batched_runner(
     """
     if pair == ENGINE_PAIRS.get(name):
         return _VEC_BATCH.get(name)
-    if pair == COMPILED_PAIRS.get(name):
-        return _CPL_BATCH.get(name)
     return None
 
 

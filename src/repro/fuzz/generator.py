@@ -34,10 +34,13 @@ import networkx as nx
 
 from ..graphs import generators as gen
 from .case import FuzzCase
+from .differential import ENGINE_PAIRS
 
-#: Engine-pair names the generator can target (kept in sync with
-#: :data:`repro.fuzz.differential.ENGINE_PAIRS` by a test).
-GENERATABLE_PAIRS = ("linial", "classic", "greedy", "defective_split", "fk24")
+#: Engine-pair names the generator can target: the keys of
+#: :data:`repro.fuzz.differential.ENGINE_PAIRS`, in its order.
+#: :func:`generate_case` draws from this tuple with ``rng.choice``, so
+#: reordering the registry would change every seed's cases.
+GENERATABLE_PAIRS = tuple(ENGINE_PAIRS)
 
 #: Label-regime names (documentation + test introspection).
 LABEL_SCHEMES = ("identity", "shifted", "strided", "shuffled")

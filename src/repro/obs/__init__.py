@@ -30,7 +30,6 @@ cross-engine comparisons.
 from .latency import LatencyTracker, OccupancyTracker, OutcomeTracker, quantile
 from .profiler import Profiler
 from .record import (
-    ENGINE_COMPILED,
     ENGINE_PARTITIONED,
     ENGINE_REFERENCE,
     ENGINE_VECTORIZED,
@@ -45,7 +44,6 @@ from .record import (
 )
 
 __all__ = [
-    "ENGINE_COMPILED",
     "ENGINE_PARTITIONED",
     "ENGINE_REFERENCE",
     "ENGINE_VECTORIZED",

@@ -52,7 +52,6 @@ OBS_SCHEMA_VERSION = 3
 #: backend is an execution strategy and records as ``vectorized``).
 ENGINE_REFERENCE = "reference"
 ENGINE_VECTORIZED = "vectorized"
-ENGINE_COMPILED = "compiled"
 ENGINE_PARTITIONED = "partitioned"
 
 

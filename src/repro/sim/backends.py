@@ -18,22 +18,20 @@ through the registry:
 * the fuzz runner resolves its pair registry per backend through
   :func:`repro.fuzz.differential.pairs_for_backend` and its batched
   dispatch by name + value equality (never identity);
-* ``repro-cli backends`` renders the table, including the compiled
-  backend's availability (``compiled: unavailable`` when numba is
-  absent — the numpy fallback still runs, bit-identically).
+* ``repro-cli backends`` renders the table.
 
 Errors are structured, never bare ``KeyError``:
 :class:`UnknownBackendError` for names outside the registry,
 :class:`CapabilityError` for requests a known backend cannot serve
 (faults on a backend without ``supports_faults``, an algorithm it
-declares unsupported).  :func:`consistency_report` cross-checks every
-name list the registry replaces and is pinned green by
-``tests/test_registry.py`` — a future backend that forgets to declare
-itself fails the suite, not a user's sweep.
+declares unsupported).  The tests that loop over the registry
+(``tests/test_registry.py``, ``tests/test_conformance_grid.py``) fail
+the suite when a backend forgets to declare itself or a declared sweep
+name has no runner — not a user's sweep.
 
 The five canonical algorithms are :data:`ALGORITHMS`; every backend
 must declare an entry for each (``supported=False`` with a ``note`` is
-a declaration too — silence is what the consistency check forbids).
+a declaration too — silence is what the registry tests forbid).
 """
 
 from __future__ import annotations
@@ -41,8 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
-
-from .compiled import NUMBA_AVAILABLE, NUMBA_UNAVAILABLE_REASON
 
 #: The canonical algorithm families every backend must declare.
 ALGORITHMS: tuple[str, ...] = (
@@ -74,7 +70,7 @@ class AlgorithmSupport:
     names this backend serves for the family; ``batched`` marks the
     names as batchable (block-diagonal execution).  ``supported=False``
     entries carry a ``note`` saying why — an explicit refusal, so the
-    consistency check can tell "declared unsupported" from "forgotten".
+    registry tests can tell "declared unsupported" from "forgotten".
     """
 
     supported: bool = True
@@ -94,10 +90,7 @@ class BackendSpec:
     marks a backend whose kernels the :mod:`repro.serve` continuous-
     batching daemon can schedule on — it requires round-stepped
     execution with mid-run membership changes, which drain-style
-    drivers (reference, compiled) do not expose.  ``available`` is the
-    backend's *native* availability — the compiled backend stays usable
-    when numba is absent (its numpy fallback is part of the contract),
-    it just reports ``available=False`` with the reason.
+    drivers (reference, partitioned) do not expose.
     """
 
     name: str
@@ -108,8 +101,6 @@ class BackendSpec:
     supports_serve: bool
     bit_identical_to: str | None
     algorithms: Mapping[str, AlgorithmSupport] = field(default_factory=dict)
-    available: bool = True
-    unavailable_reason: str | None = None
 
     def algorithm_support(self, algorithm: str) -> AlgorithmSupport:
         """The declared entry for ``algorithm`` (structured errors)."""
@@ -123,8 +114,7 @@ class BackendSpec:
 
 
 def _spec(name, description, engine, *, faults, batch, serve=False,
-          identical_to, algorithms, available=True,
-          unavailable_reason=None) -> BackendSpec:
+          identical_to, algorithms) -> BackendSpec:
     return BackendSpec(
         name=name,
         description=description,
@@ -134,8 +124,6 @@ def _spec(name, description, engine, *, faults, batch, serve=False,
         supports_serve=serve,
         bit_identical_to=identical_to,
         algorithms=MappingProxyType(dict(algorithms)),
-        available=available,
-        unavailable_reason=unavailable_reason,
     )
 
 
@@ -189,8 +177,8 @@ BACKENDS: dict[str, BackendSpec] = {
     "batched": _spec(
         "batched",
         "block-diagonal multi-instance execution (repro.sim.batch); an "
-        "execution strategy over the vectorized/compiled kernels, not a "
-        "separate sweep algorithm namespace",
+        "execution strategy over the vectorized kernels, not a separate "
+        "sweep algorithm namespace",
         "vectorized",
         faults=True,
         batch=True,
@@ -203,39 +191,6 @@ BACKENDS: dict[str, BackendSpec] = {
             "greedy": AlgorithmSupport(batched=True),
             "linial": AlgorithmSupport(batched=True),
         },
-    ),
-    "compiled": _spec(
-        "compiled",
-        "numba-jitted round kernels with a bit-identical numpy fallback "
-        "(repro.sim.compiled)",
-        "compiled",
-        faults=False,
-        batch=True,
-        identical_to="vectorized",
-        algorithms={
-            "classic": AlgorithmSupport(
-                supported=False,
-                note="the classic pipeline is dominated by the schedule "
-                "reduction, which has no compiled kernel; run it on the "
-                "vectorized backend",
-            ),
-            "defective_split": AlgorithmSupport(
-                sweep_names=("defective_split_compiled",)
-            ),
-            "fk24": AlgorithmSupport(
-                supported=False,
-                note="the try/announce rounds are data-dependent (per-round "
-                "candidate scans over ragged lists), which the static "
-                "compiled kernels do not yet express; run it on the "
-                "vectorized backend",
-            ),
-            "greedy": AlgorithmSupport(sweep_names=("greedy_compiled",)),
-            "linial": AlgorithmSupport(
-                batched=True, sweep_names=("linial_compiled",)
-            ),
-        },
-        available=NUMBA_AVAILABLE,
-        unavailable_reason=NUMBA_UNAVAILABLE_REASON,
     ),
     "partitioned": _spec(
         "partitioned",
@@ -311,10 +266,7 @@ def require(
     :class:`CapabilityError` when the backend declares the requested
     ``algorithm`` unsupported, lacks ``supports_faults`` for a faulty
     request, lacks ``supports_batch`` for a batched one, or lacks
-    ``supports_serve`` for the continuous-batching daemon.  An
-    ``available=False`` backend still resolves — graceful degradation
-    (the compiled backend's numpy fallback) is the contract, and the
-    flag plus ``unavailable_reason`` report the degradation.
+    ``supports_serve`` for the continuous-batching daemon.
     """
     spec = get_backend(name)
     if algorithm is not None:
@@ -397,11 +349,7 @@ def describe() -> str:
     """Human-readable registry table (``repro-cli backends``)."""
     lines = []
     for spec in BACKENDS.values():
-        status = "available" if spec.available else "unavailable"
-        head = f"{spec.name}: {status}"
-        if not spec.available and spec.unavailable_reason:
-            head += f" ({spec.unavailable_reason})"
-        lines.append(head)
+        lines.append(f"{spec.name}:")
         lines.append(f"  {spec.description}")
         caps = [
             f"engine={spec.engine}",
@@ -424,134 +372,3 @@ def describe() -> str:
                 detail += " [batched]"
             lines.append(f"    {algorithm}: {detail}")
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# consistency audit
-# ----------------------------------------------------------------------
-def consistency_report() -> dict:
-    """Cross-check the registry against every consumer name list.
-
-    Audits the three lists the registry replaced — the fuzz pair
-    registries, the fuzz batched-dispatch tables, and the sweep's
-    batchable set — plus the sweep dispatch tables, the analysis
-    cross-engine pairs, and the generator's pair space.  Returns
-    ``{"ok": bool, "problems": [str, ...]}``; ``tests/test_registry.py``
-    pins ``problems == []``, so a backend (or algorithm) added to one
-    list but silently absent from another fails the suite.
-    """
-    from ..analysis.report import ENGINE_PAIRS as REPORT_PAIRS
-    from ..experiments.sweep import (
-        BATCHABLE_ALGORITHMS,
-        FAST_PATHS,
-        REFERENCE_PATHS,
-    )
-    from ..fuzz.differential import (
-        _CPL_BATCH,
-        _VEC_BATCH,
-        ENGINE_PAIRS,
-        PARTITIONED_PAIRS,
-    )
-    from ..fuzz.generator import GENERATABLE_PAIRS
-
-    problems: list[str] = []
-
-    for spec in BACKENDS.values():
-        missing = [a for a in ALGORITHMS if a not in spec.algorithms]
-        if missing:
-            problems.append(
-                f"backend {spec.name!r} declares no entry for: "
-                f"{', '.join(missing)}"
-            )
-
-    vec = BACKENDS["vectorized"]
-    vec_supported = {
-        a for a in ALGORITHMS
-        if a in vec.algorithms and vec.algorithms[a].supported
-    }
-    if set(ENGINE_PAIRS) != vec_supported:
-        problems.append(
-            f"fuzz ENGINE_PAIRS {sorted(ENGINE_PAIRS)} != vectorized-"
-            f"supported algorithms {sorted(vec_supported)}"
-        )
-    vec_batched = {
-        a for a in vec_supported if vec.algorithms[a].batched
-    }
-    if set(_VEC_BATCH) != vec_batched:
-        problems.append(
-            f"fuzz _VEC_BATCH {sorted(_VEC_BATCH)} != vectorized batched "
-            f"algorithms {sorted(vec_batched)}"
-        )
-    if set(GENERATABLE_PAIRS) != set(ENGINE_PAIRS):
-        problems.append(
-            f"generator GENERATABLE_PAIRS {sorted(GENERATABLE_PAIRS)} != "
-            f"fuzz ENGINE_PAIRS {sorted(ENGINE_PAIRS)}"
-        )
-
-    cpl = BACKENDS["compiled"]
-    cpl_batched = {
-        a for a in ALGORITHMS
-        if a in cpl.algorithms
-        and cpl.algorithms[a].supported
-        and cpl.algorithms[a].batched
-    }
-    if set(_CPL_BATCH) != cpl_batched:
-        problems.append(
-            f"fuzz _CPL_BATCH {sorted(_CPL_BATCH)} != compiled batched "
-            f"algorithms {sorted(cpl_batched)}"
-        )
-
-    par = BACKENDS["partitioned"]
-    par_supported = {
-        a for a in ALGORITHMS
-        if a in par.algorithms and par.algorithms[a].supported
-    }
-    if set(PARTITIONED_PAIRS) != par_supported:
-        problems.append(
-            f"fuzz PARTITIONED_PAIRS {sorted(PARTITIONED_PAIRS)} != "
-            f"partitioned-supported algorithms {sorted(par_supported)}"
-        )
-
-    derived = batchable_sweep_algorithms()
-    if set(BATCHABLE_ALGORITHMS) != set(derived):
-        problems.append(
-            f"sweep BATCHABLE_ALGORITHMS {sorted(BATCHABLE_ALGORITHMS)} != "
-            f"registry-derived {sorted(derived)}"
-        )
-
-    dispatchable = set(FAST_PATHS) | set(REFERENCE_PATHS)
-    declared: set[str] = set()
-    for spec in BACKENDS.values():
-        for entry in spec.algorithms.values():
-            declared.update(entry.sweep_names)
-    undispatched = declared - dispatchable
-    if undispatched:
-        problems.append(
-            f"declared sweep algorithms with no sweep dispatch entry: "
-            f"{sorted(undispatched)}"
-        )
-    fast_undeclared = set(FAST_PATHS) - declared
-    if fast_undeclared:
-        problems.append(
-            f"sweep FAST_PATHS entries no backend declares: "
-            f"{sorted(fast_undeclared)}"
-        )
-    for sweep_name in sorted(declared & dispatchable):
-        try:
-            backend_of_sweep_algorithm(sweep_name)
-        except BackendError as exc:
-            problems.append(str(exc))
-
-    for vec_name, ref_name in REPORT_PAIRS.items():
-        if vec_name not in declared:
-            problems.append(
-                f"analysis ENGINE_PAIRS key {vec_name!r} is not a declared "
-                "sweep algorithm"
-            )
-        if ref_name not in declared:
-            problems.append(
-                f"analysis ENGINE_PAIRS value {ref_name!r} is not a "
-                "declared sweep algorithm"
-            )
-
-    return {"ok": not problems, "problems": problems}

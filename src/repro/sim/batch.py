@@ -45,6 +45,7 @@ instances in the batch still complete.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
@@ -284,14 +285,6 @@ class BatchCSRGraph:
 # ----------------------------------------------------------------------
 # small shared plumbing
 # ----------------------------------------------------------------------
-class _NullPhase:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
 class _MultiPhase:
     """Enter the same profiler phase on every attached recorder at once."""
 
@@ -312,7 +305,7 @@ class _MultiPhase:
 
 
 def _phase_all(recorders: Sequence["RunRecorder | None"], name: str):
-    return _MultiPhase(recorders, name) if recorders else _NullPhase()
+    return _MultiPhase(recorders, name) if recorders else nullcontext()
 
 
 def _seq_arg(value, k: int, name: str) -> list:
@@ -654,7 +647,6 @@ def linial_vectorized_batch(
     return_exceptions: bool = False,
     _batch: BatchCSRGraph | None = None,
     _finalize_recorders: bool = True,
-    _rounds=None,
 ) -> list:
     """Batched twin of :func:`repro.sim.vectorized.linial_vectorized`.
 
@@ -670,10 +662,6 @@ def linial_vectorized_batch(
     otherwise the first error is raised after all instances finish.
     Identical ``(m0, delta, defect)`` parameters share one schedule
     computation — a real batching win on homogeneous grids.
-    ``_rounds`` (internal) substitutes the fault-free round loop —
-    :func:`repro.sim.compiled.linial_compiled_batch` passes its compiled
-    rounds hook here so packing, termination masks, accounting, and
-    quarantine stay this function's single implementation.
     """
     from ..algorithms.linial import defective_schedule, linial_schedule
 
@@ -727,10 +715,9 @@ def linial_vectorized_batch(
     faulty = [j for j in range(k) if plans[j] is not None]
 
     if plain:
-        rounds_fn = _rounds if _rounds is not None else _linial_rounds_batch
         with _phase_all([recs[j] for j in plain], "rounds"):
             sub, sub_colors = _sub_batch(batch, plain, colors)
-            sub_colors = rounds_fn(
+            sub_colors = _linial_rounds_batch(
                 sub, [scheds[j] for j in plain], sub_colors
             )
             _write_back(batch, plain, colors, sub_colors)

@@ -31,6 +31,7 @@ bottleneck for large-n experiments (E14).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -56,19 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> sim)
     from ..obs import RunRecorder
 
 
-class _NullPhase:
-    """No-op context manager used when no recorder/profiler is attached."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
 def _phase(recorder: "RunRecorder | None", name: str):
     """The recorder's profiler phase, or a no-op when unobserved."""
-    return recorder.profiler.phase(name) if recorder is not None else _NullPhase()
+    return recorder.profiler.phase(name) if recorder is not None else nullcontext()
 
 
 def _edge_arrays(graph: nx.Graph) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:

@@ -150,6 +150,19 @@ class TestBatchCSRGraphProperties:
             assert out[1].summary() == ref[1].summary()
             assert out[2] == ref[2]
 
+    def test_batch_spanning_multiple_tiles(self):
+        """A batch whose dense node count exceeds one 2048-node tile must
+        still match the per-instance runs: members 0-1 and 2-3 share a
+        tile, and a mixed defect splits the (q, deg) groups."""
+        gs = [graphs.random_regular(n, 6, seed=s)
+              for s, n in enumerate((900, 900, 900, 600))]
+        defects = [0, 1, 0, 0]
+        outs = linial_vectorized_batch(gs, defect=defects)
+        for g, d, (res, metrics, palette) in zip(gs, defects, outs):
+            sres, sm, spal = linial_vectorized(g, defect=d)
+            assert res.assignment == sres.assignment
+            assert (metrics.summary(), palette) == (sm.summary(), spal)
+
     def test_k_zero(self):
         batch = BatchCSRGraph.from_graphs([])
         assert batch.k == 0 and batch.n == 0

@@ -8,11 +8,13 @@ corpus entry that replays green once the (injected) bug is gone.
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.fuzz import (
     ENGINE_PAIRS,
+    PARTITIONED_PAIRS,
     FuzzCase,
     case_filename,
     fuzz_run,
@@ -28,6 +30,8 @@ from repro.fuzz import (
 from repro.fuzz.differential import EngineRun
 from repro.fuzz.generator import GENERATABLE_PAIRS
 from repro.fuzz.shrink import default_predicate
+
+CORPUS_DIR = Path(__file__).parent / "corpus"
 
 
 class TestGenerator:
@@ -59,7 +63,12 @@ class TestGenerator:
         assert shuffled > 10  # label regimes beyond 0..n-1 are actually hit
 
     def test_generatable_pairs_match_registry(self):
-        assert set(GENERATABLE_PAIRS) == set(ENGINE_PAIRS)
+        """``generate_case`` draws the pair with ``rng.choice`` over this
+        tuple, so its order is part of every seed's case (the corpus and
+        the CI fuzz smokes replay by seed)."""
+        assert GENERATABLE_PAIRS == tuple(ENGINE_PAIRS) == (
+            "linial", "classic", "greedy", "defective_split", "fk24"
+        )
 
     def test_unknown_pair_rejected(self):
         with pytest.raises(ValueError, match="unknown pair"):
@@ -301,6 +310,39 @@ class TestFuzzRun:
         )
         assert len(report.failures) == 2
 
+    def test_fuzz_run_vectorized_never_skips(self):
+        report = fuzz_run(seed=7, iterations=4, shrink=False)
+        assert report.skipped == 0
+        assert report.backend == "vectorized"
+
+    @pytest.mark.parametrize("batch_size", [0, 8])
+    def test_fuzz_run_partitioned_backend(self, batch_size):
+        report = fuzz_run(
+            seed=7,
+            iterations=6,
+            backend="partitioned",
+            shrink=False,
+            batch_size=batch_size,
+        )
+        assert report.ok, report.describe()
+        assert report.backend == "partitioned"
+        assert set(report.per_pair) <= set(PARTITIONED_PAIRS)
+        # every generated trial is either run or skipped-for-faults, and
+        # the linial stream does generate fault cases at these seeds
+        assert report.cases_run + report.skipped == 6 * len(PARTITIONED_PAIRS)
+        assert report.skipped > 0
+        assert "skipped" in report.describe()
+
+    def test_corpus_replays_clean_through_partitioned_pairs(self):
+        replayed = 0
+        for path, case in load_corpus(CORPUS_DIR):
+            if case.pair not in PARTITIONED_PAIRS or case.fault is not None:
+                continue
+            outcome = run_case(case, pairs=PARTITIONED_PAIRS)
+            assert outcome.ok, f"{path}: {outcome.describe()}"
+            replayed += 1
+        assert replayed > 0, "corpus has no partitioned-replayable entries"
+
 
 class TestBatchedDispatchByValue:
     """Regression: the batched fast side used to be selected by *identity*
@@ -346,28 +388,6 @@ class TestBatchedDispatchByValue:
         outcomes = run_cases_batched(self._cases("linial"), pairs=broken)
         assert calls == []  # per-case, so the mutated fast side actually ran
         assert all(not o.ok for o in outcomes)
-
-    def test_compiled_registry_batches_linial(self, monkeypatch):
-        from repro.fuzz import COMPILED_PAIRS, run_cases_batched
-        from repro.fuzz import differential
-
-        calls = []
-        real = differential._CPL_BATCH["linial"]
-
-        def spy(cases):
-            calls.append(len(cases))
-            return real(cases)
-
-        monkeypatch.setitem(differential._CPL_BATCH, "linial", spy)
-        cases = [
-            c
-            for c in self._cases("linial", count=8)
-            if c.fault is None  # compiled backend skips fault cases
-        ]
-        assert len(cases) >= 2
-        outcomes = run_cases_batched(cases, pairs=COMPILED_PAIRS)
-        assert calls == [len(cases)]
-        assert all(o.ok for o in outcomes)
 
 
 class TestCaseValidation:

@@ -348,6 +348,33 @@ class TestReportRendering:
         out = capsys.readouterr().out
         assert "MISMATCH" in out
 
+    def test_cli_report_renders_retired_engine_unpaired(self, tmp_path, capsys):
+        """A cache written by a backend the registry no longer has (the
+        ``compiled`` engine and its ``linial_<engine>`` sweep name)
+        renders that record, but pairs it with nothing — its tampered
+        rows would MISMATCH if it were compared."""
+        from repro.analysis.report import load_cache_run_records, pair_cross_engine
+        from repro.cli import main as cli_main
+
+        engine = "compiled"
+        algorithm = f"linial_{engine}"
+        cache = self.sweep_cache(tmp_path)
+        for path in sorted(cache.glob("*.json")):
+            cell = json.loads(path.read_text())
+            if cell["algorithm"] == "linial_vectorized":
+                cell["algorithm"] = algorithm
+                cell["run_record"]["algorithm"] = algorithm
+                cell["run_record"]["engine"] = engine
+                cell["run_record"]["rows"][0]["messages"] += 1
+                path.write_text(json.dumps(cell))
+        records = load_cache_run_records(cache)
+        assert len(records) == 6
+        assert len(pair_cross_engine(records)) == 2
+        assert cli_main(["report", "--cache-dir", str(cache)]) == 0
+        out = capsys.readouterr().out
+        assert f"{algorithm} [{engine}]" in out
+        assert "MISMATCH" not in out
+
     def test_cli_report_runs_jsonl(self, tmp_path, capsys):
         from repro.cli import main as cli_main
 

@@ -69,39 +69,17 @@ class TestBackendRegistry:
         from repro.sim.backends import CapabilityError, require
 
         with pytest.raises(CapabilityError, match="does not support algorithm"):
-            require("compiled", algorithm="classic")
-        assert require("compiled", algorithm="linial").name == "compiled"
+            require("partitioned", algorithm="greedy")
+        assert require("partitioned", algorithm="linial").name == "partitioned"
 
     def test_require_rejects_capability_mismatches(self):
         from repro.sim.backends import CapabilityError, require
 
         with pytest.raises(CapabilityError, match="fault injection"):
-            require("compiled", faults=True)
+            require("partitioned", faults=True)
         with pytest.raises(CapabilityError, match="batched execution"):
             require("reference", batch=True)
         assert require("vectorized", faults=True, batch=True).name == "vectorized"
-
-    def test_unavailable_backend_still_resolves(self):
-        """Graceful degradation: the compiled backend resolves whether or
-        not numba is importable — availability is reporting, not gating."""
-        from repro.sim.backends import get_backend, require
-        from repro.sim.compiled import NUMBA_AVAILABLE
-
-        spec = require("compiled", algorithm="linial", batch=True)
-        assert spec.available is NUMBA_AVAILABLE
-        if not spec.available:
-            assert "numpy fallback" in (spec.unavailable_reason or "")
-        assert get_backend("compiled") is spec
-
-    def test_describe_reports_availability(self):
-        from repro.sim.backends import describe
-        from repro.sim.compiled import NUMBA_AVAILABLE
-
-        text = describe()
-        for name in ("reference", "vectorized", "batched", "compiled"):
-            assert f"{name}: " in text
-        expected = "available" if NUMBA_AVAILABLE else "unavailable"
-        assert f"compiled: {expected}" in text
 
     def test_sweep_algorithm_ownership(self):
         from repro.sim.backends import (
@@ -110,7 +88,6 @@ class TestBackendRegistry:
         )
 
         assert backend_of_sweep_algorithm("linial_vectorized").name == "vectorized"
-        assert backend_of_sweep_algorithm("linial_compiled").name == "compiled"
         assert backend_of_sweep_algorithm("linial").name == "reference"
         with pytest.raises(UnknownBackendError, match="no backend declares"):
             backend_of_sweep_algorithm("linial_quantum")
@@ -121,21 +98,38 @@ class TestBackendRegistry:
 
         derived = batchable_sweep_algorithms()
         assert BATCHABLE_ALGORITHMS == derived
-        assert "linial_compiled" in derived
+        assert "linial_vectorized" in derived
 
-    def test_consistency_report_is_green(self):
-        """The cross-module audit: every name list the registry replaced
-        (fuzz pairs, batched dispatch, sweep batchables/dispatch, analysis
-        pairs, generator space) agrees with the declarations."""
-        from repro.sim.backends import consistency_report
+    def test_describe_reports_availability(self):
+        """Every registered backend is listed with its capability line,
+        and every algorithm is declared for it."""
+        from repro.sim.backends import BACKENDS, describe
 
-        report = consistency_report()
-        assert report["problems"] == []
-        assert report["ok"] is True
+        text = describe()
+        for name, spec in BACKENDS.items():
+            assert f"{name}:" in text
+            assert f"engine={spec.engine}" in text
+        assert "UNDECLARED" not in text
+
+    def test_every_declared_sweep_name_has_a_runner(self):
+        """A sweep name a backend declares but no dispatch table runs
+        would fail a user's sweep cell; the report's twin table may only
+        pair declared names."""
+        from repro.analysis.report import REFERENCE_TWINS
+        from repro.experiments.sweep import FAST_PATHS, REFERENCE_PATHS
+        from repro.sim.backends import BACKENDS
+
+        declared = {
+            name
+            for spec in BACKENDS.values()
+            for entry in spec.algorithms.values()
+            for name in entry.sweep_names
+        }
+        assert declared <= set(FAST_PATHS) | set(REFERENCE_PATHS)
+        assert set(REFERENCE_TWINS) | set(REFERENCE_TWINS.values()) <= declared
 
     def test_pairs_for_backend_resolution(self):
         from repro.fuzz import (
-            COMPILED_PAIRS,
             ENGINE_PAIRS,
             PARTITIONED_PAIRS,
             pairs_for_backend,
@@ -144,7 +138,6 @@ class TestBackendRegistry:
 
         assert pairs_for_backend("vectorized") is ENGINE_PAIRS
         assert pairs_for_backend("batched") is ENGINE_PAIRS
-        assert pairs_for_backend("compiled") is COMPILED_PAIRS
         assert pairs_for_backend("partitioned") is PARTITIONED_PAIRS
         with pytest.raises(CapabilityError, match="baseline"):
             pairs_for_backend("reference")
@@ -170,8 +163,8 @@ class TestBackendRegistry:
         rc = main(["backends"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "registry consistency: OK" in out
-        assert "compiled" in out
+        for name in ("reference", "vectorized", "batched", "partitioned"):
+            assert f"{name}:" in out
 
     def test_cli_fuzz_rejects_unknown_backend(self, capsys):
         from repro.cli import main
