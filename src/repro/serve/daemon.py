@@ -56,6 +56,8 @@ class ColoringServer:
         self._server: asyncio.AbstractServer | None = None
         self._scheduler_task: asyncio.Task | None = None
         self._shutdown = asyncio.Event()
+        #: Live connection handlers and their writers, closed by :meth:`stop`.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         #: Set when the scheduler loop died with an exception (every
         #: pending future was failed first); the daemon keeps answering
         #: protocol lines, with ``color`` ops erroring fast.
@@ -85,10 +87,14 @@ class ColoringServer:
         listener (no new connections), drain the batcher (in-flight work
         finishes or times out inside ``drain_s`` — default
         ``config.drain_timeout_s`` — and anything still pending fails
-        with a structured error, so no awaiter hangs), then reap the
-        scheduler task.  A scheduler that died mid-traffic is *reaped*,
-        not re-raised: its exception lands in :attr:`scheduler_error`
-        and its pending futures were already failed by the loop itself.
+        with a structured error, so no awaiter hangs), reap the
+        scheduler task, then close every live connection and wait for
+        its handler to exit on EOF (a handler still blocked in a read
+        when the event loop tears down would be cancelled there and
+        logged as an error).  A scheduler that died mid-traffic is
+        *reaped*, not re-raised: its exception lands in
+        :attr:`scheduler_error` and its pending futures were already
+        failed by the loop itself.
         """
         if self._server is None:
             return
@@ -107,6 +113,10 @@ class ColoringServer:
             ):
                 self.scheduler_error = results[0]
             self._scheduler_task = None
+        handlers = list(self._connections.items())
+        for _, writer in handlers:
+            writer.close()
+        await asyncio.gather(*(task for task, _ in handlers), return_exceptions=True)
         self._shutdown.set()
 
     async def serve_forever(self) -> None:
@@ -137,6 +147,8 @@ class ColoringServer:
         response that keeps the ``request_id`` and names the limit, so
         a client reading under the protocol limit never sees it.
         """
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -170,6 +182,7 @@ class ColoringServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()

@@ -53,6 +53,8 @@ import numpy as np
 from ..core.coloring import ColoringResult
 from .engine import (
     CSRGraph,
+    _adjacency,
+    _networkx_edges,
     collision_counts,
     equal_neighbor_counts,
     poly_digits,
@@ -141,59 +143,25 @@ class BatchCSRGraph:
     def from_graphs(cls, graphs: Sequence[Any]) -> "BatchCSRGraph":
         """Freeze k ``networkx`` graphs into one block-diagonal batch.
 
-        One global ``fromiter`` / ``argsort`` / ``bincount`` over every
-        member's edges replaces k per-graph freezes, so the fixed numpy
-        dispatch cost of freezing amortizes across the whole batch — for
-        many small instances this is where batching starts paying,
-        before the first round kernel even runs.  The member
+        One pass over every member's adjacency and one global ``argsort``
+        / ``bincount`` over their edges replace k per-graph freezes, so
+        the fixed numpy dispatch cost of freezing amortizes across the
+        whole batch — for many small instances this is where batching
+        starts paying, before the first round kernel even runs.  The member
         :class:`~repro.sim.engine.CSRGraph`\\ s carved back out of the
         global arrays are value-identical to
         :meth:`CSRGraph.from_networkx` on each graph (same stable-sort
         edge order), so per-instance fallbacks and sub-batches see
         exactly what a per-graph freeze would have produced.
         """
-        gs = list(graphs)
-        for g in gs:
-            if g.is_directed():
-                raise ValueError(
-                    "CSRGraph (and the vectorized fast paths) support "
-                    "undirected graphs only; got a directed graph. Convert "
-                    "explicitly with graph.to_undirected() if that is "
-                    "intended."
-                )
-        k = len(gs)
-        nodes_list = [tuple(sorted(g.nodes)) for g in gs]
-        index_list = [{v: i for i, v in enumerate(nt)} for nt in nodes_list]
-        node_counts = np.fromiter(
-            (len(nt) for nt in nodes_list), dtype=np.int64, count=k
-        )
-        node_offsets = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(node_counts, out=node_offsets[1:])
+        nodes_list, index_list, node_offsets, edges = _networkx_edges(graphs)
+        k = len(nodes_list)
+        node_counts = np.diff(node_offsets)
         n_total = int(node_offsets[-1])
-        m_total = sum(g.number_of_edges() for g in gs)
-
-        def _endpoints():
-            for g, idx, off in zip(gs, index_list, node_offsets.tolist()):
-                for u, v in g.edges:
-                    yield idx[u] + off
-                    yield idx[v] + off
-
-        flat = np.fromiter(_endpoints(), dtype=np.int64, count=2 * m_total)
-        eu, ev = flat[0::2], flat[1::2]
-        src_all = np.concatenate([eu, ev])
-        dst_all = np.concatenate([ev, eu])
-        # Stable sort by (global) source: member node ranges are disjoint
-        # and increasing, so this both groups edges by member and — within
-        # a member — reproduces from_networkx's [eu..., ev...] tie order.
-        order = np.argsort(src_all, kind="stable")
-        indices = dst_all[order]
-        counts = (
-            np.bincount(src_all, minlength=n_total)
-            if m_total
-            else np.zeros(n_total, dtype=np.int64)
-        )
-        indptr = np.zeros(n_total + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        # _adjacency's stable sort by (global) source: member node ranges
+        # are disjoint and increasing, so it both groups edges by member
+        # and, within a member, gives exactly from_networkx's arrays.
+        indptr, indices = _adjacency(n_total, edges)
         edge_offsets = indptr[node_offsets]
 
         members = []
@@ -217,10 +185,8 @@ class BatchCSRGraph:
         batch.edge_offsets = edge_offsets
         batch.indptr = indptr
         batch.indices = indices
-        batch.src = np.repeat(np.arange(n_total, dtype=np.int64), counts)
-        batch.instance_id = np.repeat(
-            np.arange(k, dtype=np.int64), node_counts
-        )
+        batch.src = np.repeat(np.arange(n_total, dtype=np.int64), np.diff(indptr))
+        batch.instance_id = np.repeat(np.arange(k, dtype=np.int64), node_counts)
         return batch
 
     @classmethod

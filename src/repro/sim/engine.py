@@ -16,14 +16,20 @@ This module provides that structure and the primitives every fast path in
   (``indptr``/``indices``) over dense node indices ``0..n-1``, plus the
   expanded per-directed-edge ``src`` array for scatter/bincount patterns.
   Node labels are mapped through a sorted dense index so fast paths and
-  the reference simulator agree on iteration order; an edge array over
-  labels ``0..n-1`` freezes directly (:meth:`CSRGraph.from_edges`), with
-  no networkx graph at all.
+  the reference simulator agree on iteration order.  A ``networkx``
+  graph is frozen from ``graph.adjacency()`` with one ``np.fromiter``
+  per array and no per-edge Python (:meth:`CSRGraph.from_networkx`); an
+  edge array over labels ``0..n-1`` freezes directly
+  (:meth:`CSRGraph.from_edges`), with no networkx graph at all.
 * ``gather`` / ``scatter`` — move per-node values between the label world
   (dicts keyed by node id) and the dense array world.
 * :func:`collision_counts` / :func:`equal_neighbor_counts` — the
   "how many neighbors agree with me" kernels of Linial-style steps,
   counted with **integer** bincounts (never float accumulation).
+  ``collision_counts`` compares each undirected edge once, since
+  agreement across an edge is symmetric, and two distinct polynomials
+  of degree <= deg agree at no more than deg points (Maus–Tonoyan), so
+  its matches are sparse.
 * :func:`poly_digits` / :func:`poly_eval_grid` — the base-``q`` polynomial
   machinery of Linial steps, vectorized over all nodes and all evaluation
   points at once.
@@ -36,15 +42,17 @@ tests compare its output node for node (and its synthesized metrics
 counter for counter) against the reference simulator on a shared graph
 set — see ``tests/test_vectorized.py`` and ``tests/test_engine.py``.
 
-Directed graphs are rejected explicitly: a ``nx.DiGraph`` would silently
-double-direct in the CSR build (each arc would also be mirrored), so
-:meth:`CSRGraph.from_networkx` raises ``ValueError`` instead.
+Directed graphs and multigraphs are rejected explicitly: a ``nx.DiGraph``
+would silently double-direct in the CSR build (each arc would also be
+mirrored) and a multigraph's parallel edges have no place in a simple
+adjacency, so :meth:`CSRGraph.from_networkx` raises ``ValueError``
+instead.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 import networkx as nx
@@ -69,6 +77,79 @@ def _adjacency(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, indices
+
+
+def _networkx_edges(
+    graphs: Sequence[nx.Graph],
+) -> tuple[list[tuple], list[dict[Any, int]], np.ndarray, np.ndarray]:
+    """Labels, indexes and edge rows of k undirected graphs laid end to end.
+
+    Returns ``(nodes_list, index_list, node_offsets, edges)``: per graph
+    its sorted labels and ``label -> dense index`` map (local, from 0);
+    the ``k+1`` prefix array of node counts; and the ``(m, 2)`` rows of
+    every graph's edges in ``graph.edges`` order, over global dense ids
+    (graph ``j``'s ids shifted by ``node_offsets[j]``).
+
+    The rows are read off ``graph.adjacency()`` with one ``np.fromiter``
+    per array: ``graph.edges`` lists, node by node in insertion order,
+    the neighbors not met earlier in that order, so one mask (keep a
+    neighbor whose insertion position is at least the node's own)
+    recovers its rows, self-loops once, with no per-edge Python.
+    """
+    nodes_list: list[tuple] = []
+    index_list: list[dict[Any, int]] = []
+    adjs: list[dict] = []
+    for graph in graphs:
+        if graph.is_directed():
+            raise ValueError(
+                "CSRGraph (and the vectorized fast paths) support undirected "
+                "graphs only; got a directed graph. Convert explicitly with "
+                "graph.to_undirected() if that is intended."
+            )
+        if graph.is_multigraph():
+            raise ValueError(
+                "CSRGraph (and the vectorized fast paths) support simple "
+                "graphs only; got a multigraph. Convert explicitly with "
+                "nx.Graph(graph) if collapsing parallel edges is intended."
+            )
+        nodes = tuple(sorted(graph))
+        nodes_list.append(nodes)
+        index_list.append(dict(zip(nodes, range(len(nodes)))))
+        adjs.append(dict(graph.adjacency()))
+    counts = np.fromiter(map(len, nodes_list), dtype=np.int64, count=len(adjs))
+    node_offsets = np.zeros(len(adjs) + 1, dtype=np.int64)
+    np.cumsum(counts, out=node_offsets[1:])
+    n = int(node_offsets[-1])
+    # per insertion position: its node's dense id and its degree
+    dense = np.fromiter(
+        chain.from_iterable(
+            map(index.__getitem__, adj) for index, adj in zip(index_list, adjs)
+        ),
+        dtype=np.int64,
+        count=n,
+    )
+    degree = np.fromiter(
+        chain.from_iterable(map(len, adj.values()) for adj in adjs),
+        dtype=np.int64,
+        count=n,
+    )
+    nbrs = np.fromiter(
+        chain.from_iterable(
+            map(index.__getitem__, chain.from_iterable(adj.values()))
+            for index, adj in zip(index_list, adjs)
+        ),
+        dtype=np.int64,
+        count=int(degree.sum()),
+    )
+    shift = np.repeat(node_offsets[:-1], counts)
+    dense += shift
+    src_pos = np.repeat(np.arange(n, dtype=np.int64), degree)
+    nbrs += shift[src_pos]
+    position = np.empty(n, dtype=np.int64)
+    position[dense] = np.arange(n, dtype=np.int64)
+    keep = position[nbrs] >= src_pos
+    edges = np.column_stack([dense[src_pos[keep]], nbrs[keep]])
+    return nodes_list, index_list, node_offsets, edges
 
 
 class CSRGraph:
@@ -129,31 +210,20 @@ class CSRGraph:
     def from_networkx(cls, graph: nx.Graph) -> "CSRGraph":
         """Freeze a ``networkx`` graph into CSR form.
 
-        Labels are sorted and mapped to dense indices; the edges, in
-        ``graph.edges`` order, are frozen by the same :func:`_adjacency`
-        as :meth:`from_edges`.
+        Labels are sorted and mapped to dense indices; the edges, read
+        off ``graph.adjacency()`` in ``graph.edges`` order (see
+        :func:`_networkx_edges`), are frozen by the same
+        :func:`_adjacency` as :meth:`from_edges`.
 
-        Raises ``ValueError`` for directed graphs: mirroring each arc
-        would silently treat the digraph as its underlying undirected
-        graph, which is almost never what a caller meant.  Convert
-        explicitly (``graph.to_undirected()``) if that *is* the intent.
+        Raises ``ValueError`` for directed graphs and multigraphs:
+        mirroring each arc would silently treat a digraph as its
+        underlying undirected graph, which is almost never what a caller
+        meant.  Convert explicitly (``graph.to_undirected()``, or
+        ``nx.Graph(graph)`` for a multigraph) if that *is* the intent.
         """
-        if graph.is_directed():
-            raise ValueError(
-                "CSRGraph (and the vectorized fast paths) support undirected "
-                "graphs only; got a directed graph. Convert explicitly with "
-                "graph.to_undirected() if that is intended."
-            )
-        nodes = tuple(sorted(graph.nodes))
+        (nodes,), (index,), _, edges = _networkx_edges([graph])
         n = len(nodes)
-        index = {v: i for i, v in enumerate(nodes)}
-        m = graph.number_of_edges()
-        flat = np.fromiter(
-            (index[x] for e in graph.edges for x in e),
-            dtype=np.int64,
-            count=2 * m,
-        )
-        return cls(n, nodes, index, *_adjacency(n, flat.reshape(m, 2)))
+        return cls(n, nodes, index, *_adjacency(n, edges))
 
     # ------------------------------------------------------------------
     @property
@@ -175,11 +245,13 @@ class CSRGraph:
         self, mapping: Mapping[Any, int], dtype: type = np.int64
     ) -> np.ndarray:
         """Dense array of per-node values from a label-keyed mapping."""
-        return np.array([mapping[v] for v in self.nodes], dtype=dtype)
+        return np.fromiter(
+            map(mapping.__getitem__, self.nodes), dtype=dtype, count=self.n
+        )
 
     def scatter(self, values: np.ndarray) -> dict[Any, int]:
         """Label-keyed dict from a dense per-node array (values as ints)."""
-        return {v: int(values[i]) for i, v in enumerate(self.nodes)}
+        return dict(zip(self.nodes, values.tolist()))
 
 
 def as_csr(graph: "nx.Graph | CSRGraph") -> CSRGraph:
@@ -251,21 +323,35 @@ def collision_counts(csr: CSRGraph, evals: np.ndarray) -> np.ndarray:
     ``evals`` has shape ``(q, n)`` — row ``x`` holds every node's
     polynomial evaluation at point ``x``.  Returns ``hits`` of the same
     shape where ``hits[x, i]`` counts neighbors ``j`` of ``i`` with
-    ``evals[x, j] == evals[x, i]``.
+    ``evals[x, j] == evals[x, i]`` (a self-loop slot always agrees).
 
-    Counting is pure-integer: each row is a ``np.bincount`` over the
-    *indices* of agreeing directed edges, never a float-weighted sum
-    (``np.bincount(..., weights=...)`` accumulates in float64, which
-    loses exactness past 2^53 aggregate weight and silently casts on
-    assignment into integer rows).
+    Agreement across an edge is symmetric, so each undirected edge is
+    compared once, on its ``src < indices`` slot, with ``evals`` cast to
+    the narrowest unsigned dtype holding ``q - 1`` (``evals`` lies in
+    ``0..q-1``).  Two distinct polynomials of degree <= deg agree at no
+    more than deg points, so matches are sparse: both endpoints of every
+    match are counted by one integer ``np.bincount`` over
+    ``x * n + endpoint``, never a float-weighted sum (which accumulates in
+    float64 and loses exactness past 2^53).  A graph whose rows hold only
+    some slots (the partitioned backend's empty ghost rows) counts each
+    owned column exactly as long as every owned-to-ghost slot has
+    ``src < indices``.
     """
-    q = evals.shape[0]
-    hits = np.zeros((q, csr.n), dtype=np.int64)
+    q, n = evals.shape[0], csr.n
     if not csr.num_directed_edges:
-        return hits
-    matches = evals[:, csr.src] == evals[:, csr.indices]  # (q, 2m)
-    for x in range(q):
-        hits[x] = np.bincount(csr.src[matches[x]], minlength=csr.n)
+        return np.zeros((q, n), dtype=np.int64)
+    src, dst = csr.src, csr.indices
+    half = src < dst
+    u, v = src[half], dst[half]
+    narrow = evals.astype(np.min_scalar_type(max(q - 1, 0)), copy=False)
+    xs, ks = np.nonzero(narrow[:, u] == narrow[:, v])
+    base = xs * n
+    hits = np.bincount(
+        np.concatenate([base + u[ks], base + v[ks]]), minlength=q * n
+    ).reshape(q, n)
+    loops = src == dst
+    if loops.any():
+        hits += np.bincount(src[loops], minlength=n)
     return hits
 
 

@@ -311,6 +311,11 @@ def schedule_reduction_vectorized(
     ``recorder`` rows carry the per-round uncolored count (nodes whose
     class has not picked yet).  ``graph`` may be a frozen
     :class:`~repro.sim.engine.CSRGraph`, as in :func:`linial_vectorized`.
+
+    Raises ``ValueError`` with the reference's wording when two
+    neighbors share a class ("schedule coloring not proper on edge",
+    as :func:`~repro.algorithms.reduction.reduce_to_list_coloring`) and
+    when a node finds no free palette color ("palette exhausted").
     """
     from .message import index_bits
 
@@ -319,37 +324,49 @@ def schedule_reduction_vectorized(
     n = csr.n
     src, dst = csr.src, csr.indices
     cls = csr.gather(schedule_colors)
+    if n and int(cls.min()) < 0:
+        raise ValueError("schedule colors must be >= 0")
+    src_cls = cls[src]
+    clash = np.flatnonzero(src_cls == cls[dst])
+    if clash.size:
+        u, v = csr.nodes[src[clash[0]]], csr.nodes[dst[clash[0]]]
+        raise ValueError(f"schedule coloring not proper on edge {{{u},{v}}}")
     final = np.full(n, -1, dtype=np.int64)
-    taken = np.zeros((n, palettes_size), dtype=bool)
+    # column palettes_size stays free: a pick there means none was left
+    taken = np.zeros((n, palettes_size + 1), dtype=bool)
     bits = index_bits(max(2, palettes_size))
     metrics = synthesized_metrics(n)
-    degree = csr.degrees
 
     max_cls = int(cls.max()) if n else 0
-    # messages in round r: announcements from the class that picked at r-1
-    announce_counts = [0] * (max_cls + 2)
-    picked_counts = [0] * (max_cls + 2)  # nodes picking *in* round r
+    # nodes picking *in* round r, and messages in round r: announcements
+    # from the class that picked at r-1 (one per directed edge slot)
+    picked_counts = np.bincount(cls, minlength=max_cls + 2)
+    announce_counts = np.zeros(max_cls + 2, dtype=np.int64)
+    announce_counts[1:] = np.bincount(src_cls, minlength=max_cls + 1)
+    # class c's members and out-slots are contiguous runs of these orders
+    node_order = np.argsort(cls, kind="stable")
+    edge_order = np.argsort(src_cls, kind="stable")
+    node_bounds = np.concatenate([[0], np.cumsum(picked_counts)]).tolist()
+    edge_bounds = np.concatenate([[0], np.cumsum(announce_counts[1:])]).tolist()
     with _phase(recorder, "rounds"):
-        for c in range(max_cls + 1):
-            members = np.nonzero(cls == c)[0]
-            if members.size:
-                # pick smallest free color per member (argmax of ~taken)
-                free = ~taken[members]
-                picks = np.argmax(free, axis=1)
-                final[members] = picks
-                # mark neighbors
-                member_set = np.zeros(n, dtype=bool)
-                member_set[members] = True
-                mask = member_set[src]
-                np.add.at(taken, (dst[mask], final[src[mask]]), True)
-                announce_counts[c + 1] = int(degree[members].sum())
-                picked_counts[c] = int(members.size)
-        rounds_needed = max_cls + 2
+        for c in np.flatnonzero(picked_counts).tolist():
+            members = node_order[node_bounds[c] : node_bounds[c + 1]]
+            # smallest free color per member (first-occurrence argmax)
+            picks = np.argmax(~taken[members], axis=1)
+            if picks.max() == palettes_size:
+                i = int(members[np.argmax(picks == palettes_size)])
+                raise ValueError(
+                    f"node {csr.nodes[i]}: palette exhausted "
+                    f"(list size {palettes_size}, degree {int(csr.degrees[i])})"
+                )
+            final[members] = picks
+            out = edge_order[edge_bounds[c] : edge_bounds[c + 1]]
+            taken[dst[out], final[src[out]]] = True
         uncolored = n
-        for r in range(rounds_needed):
-            uncolored -= picked_counts[r]
+        for picked, announced in zip(picked_counts.tolist(), announce_counts.tolist()):
+            uncolored -= picked
             record_uniform_round(
-                metrics, recorder, announce_counts[r], bits, uncolored=uncolored
+                metrics, recorder, announced, bits, uncolored=uncolored
             )
     result = ColoringResult(csr.scatter(final))
     if recorder is not None and _finalize_recorder:

@@ -58,6 +58,16 @@ class TestCSRConstruction:
         with pytest.raises(ValueError, match="undirected"):
             CSRGraph.from_networkx(dg)
 
+    def test_multigraph_rejected(self):
+        from repro.sim.batch import BatchCSRGraph
+
+        mg = nx.MultiGraph()
+        mg.add_edges_from([(0, 1), (0, 1)])
+        with pytest.raises(ValueError, match="multigraph"):
+            CSRGraph.from_networkx(mg)
+        with pytest.raises(ValueError, match="multigraph"):
+            BatchCSRGraph.from_graphs([ring(4), mg])
+
     def test_from_edges_matches_dense_graph(self):
         g = gnp(40, 0.2, seed=11)
         edges = np.array(list(g.edges), dtype=np.int64)
@@ -220,3 +230,92 @@ class TestRoundTripProperties:
         for i, v in enumerate(csr.nodes):
             segment = values[indptr[i] : indptr[i + 1]].tolist()
             assert segment == list(lists[v])  # preference order preserved
+
+
+# ----------------------------------------------------------------------
+# the adjacency freeze and the half-edge collision count
+# ----------------------------------------------------------------------
+def _edge_list_freeze(graph):
+    """The freeze as one dense row per ``graph.edges`` entry: the arrays
+    :meth:`CSRGraph.from_networkx` must reproduce."""
+    nodes = tuple(sorted(graph.nodes))
+    index = {v: i for i, v in enumerate(nodes)}
+    rows = [(index[u], index[v]) for u, v in graph.edges]
+    csr = CSRGraph.from_edges(len(nodes), np.array(rows, dtype=np.int64))
+    return nodes, index, csr
+
+
+def _same_csr(got, nodes, index, want):
+    assert (got.n, got.nodes, got.index) == (want.n, nodes, index)
+    for name in ("indptr", "indices", "src"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@st.composite
+def _scrambled_graphs(draw):
+    """Gappy, unsorted labels inserted in scrambled order: edges first
+    (self-loops included), then every label again, so isolated nodes
+    come last in an order of their own."""
+    labels = draw(_labels)
+    node = st.sampled_from(labels)
+    g = nx.Graph()
+    g.add_edges_from(draw(st.lists(st.tuples(node, node), max_size=60)))
+    g.add_nodes_from(draw(st.permutations(labels)))
+    return g
+
+
+class TestAdjacencyFreeze:
+    @given(g=_scrambled_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_from_networkx_equals_edge_list_freeze(self, g):
+        _same_csr(CSRGraph.from_networkx(g), *_edge_list_freeze(g))
+
+    @given(gs=st.lists(_scrambled_graphs(), max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_from_graphs_equals_per_graph_freezes(self, gs):
+        from repro.sim.batch import BatchCSRGraph
+
+        got = BatchCSRGraph.from_graphs(gs)
+        frozen = [_edge_list_freeze(g) for g in gs]
+        for member, want in zip(got.members, frozen, strict=True):
+            _same_csr(member, *want)
+        packed = BatchCSRGraph.from_csrs([csr for _, _, csr in frozen])
+        for name in (
+            "node_offsets", "edge_offsets", "indptr", "indices", "src", "instance_id"
+        ):
+            assert np.array_equal(getattr(got, name), getattr(packed, name)), name
+
+
+def _per_point_counts(csr, evals):
+    return np.stack([equal_neighbor_counts(csr, row) for row in evals])
+
+
+class TestHalfEdgeCollisions:
+    @given(g=_scrambled_graphs(), q=st.sampled_from([2, 3, 7, 256, 257, 300]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_point_scan(self, g, q, seed):
+        csr = CSRGraph.from_networkx(g)
+        evals = np.random.default_rng(seed).integers(0, q, size=(q, csr.n))
+        hits = collision_counts(csr, evals)
+        assert hits.dtype == np.int64
+        assert np.array_equal(hits, _per_point_counts(csr, evals))
+
+    @given(g=_scrambled_graphs(), shards=st.integers(1, 4),
+           strategy=st.sampled_from(["contiguous", "hash"]),
+           q=st.sampled_from([3, 11, 300]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_shard_owned_columns_exact(self, g, shards, strategy, q, seed):
+        from repro.sim.partition import _ShardCSR, partition_arrays
+
+        csr = CSRGraph.from_networkx(g)
+        evals = np.random.default_rng(seed).integers(0, q, size=(q, csr.n))
+        want = _per_point_counts(csr, evals)
+        part = partition_arrays(
+            csr.n, csr.indptr, csr.indices, shards, strategy=strategy, seed=seed
+        )
+        for plan in part.plans:
+            local = _ShardCSR(plan.n_local, plan.indptr, plan.indices)
+            ids = np.concatenate([plan.owned, plan.ghosts])
+            hits = collision_counts(local, evals[:, ids])
+            assert np.array_equal(hits[:, : plan.n_owned], want[:, plan.owned])

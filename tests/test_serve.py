@@ -355,6 +355,40 @@ class TestColoringServer:
 
         asyncio.run(scenario())
 
+    def test_shutdown_closes_other_live_connections(self):
+        """A connection still open at shutdown is closed by ``stop()``,
+        so its handler exits on EOF instead of being cancelled mid-read
+        when the loop tears down (logged as a CancelledError traceback)."""
+        errors = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            server = ColoringServer(ServeConfig(max_batch=2))
+            await server.start()
+            waiter = asyncio.create_task(server.serve_forever())
+            idle, closer = (
+                ServeClient("127.0.0.1", server.port, timeout=5) for _ in range(2)
+            )
+            assert await idle.ping() and await closer.ping()
+            holder = asyncio.create_task(hold_open(idle))
+            await closer.shutdown()
+            await asyncio.wait_for(waiter, timeout=5)
+            await server.stop()
+            return holder
+
+        async def hold_open(client):
+            """Keep ``client`` open until the loop tears down (which
+            cancels this task alongside any handler still reading)."""
+            try:
+                await asyncio.Event().wait()
+            finally:
+                await client.close()
+
+        asyncio.run(scenario())
+        assert [c.get("message") for c in errors] == []
+
 
 # ----------------------------------------------------------------------
 # the recipe path: requests freeze straight into CSR form

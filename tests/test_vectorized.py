@@ -286,3 +286,43 @@ class TestClassicPipelineVectorized:
         vec, m_vec = classic_delta_plus_one_vectorized(g)
         assert ref.assignment == vec.assignment
         assert m_ref.summary() == m_vec.summary()
+
+
+class TestScheduleReductionErrors:
+    """Inputs the reference reduction refuses raise the same ValueError
+    here, instead of returning an improper coloring."""
+
+    def test_palette_exhausted_like_the_reference(self):
+        from repro.algorithms.reduction import ScheduledListColoring
+        from repro.sim.network import SyncNetwork
+        from repro.sim.vectorized import schedule_reduction_vectorized
+
+        g = ring(6)
+        with pytest.raises(ValueError, match="palette exhausted") as ref:
+            SyncNetwork(g).run(
+                ScheduledListColoring(),
+                {v: {"schedule_color": v, "palette": [0]} for v in g},
+                shared={"num_classes": 6, "space_size": 1},
+                max_rounds=8,
+            )
+        with pytest.raises(ValueError) as vec:
+            schedule_reduction_vectorized(g, {v: v for v in g}, 1)
+        assert str(vec.value) == str(ref.value)
+
+    def test_improper_schedule_coloring_like_the_reference(self):
+        from repro.algorithms.reduction import reduce_to_list_coloring
+        from repro.core.instance import delta_plus_one_instance
+        from repro.sim.vectorized import schedule_reduction_vectorized
+
+        g = ring(6)
+        with pytest.raises(ValueError, match="not proper") as ref:
+            reduce_to_list_coloring(delta_plus_one_instance(g), {v: 0 for v in g})
+        with pytest.raises(ValueError) as vec:
+            schedule_reduction_vectorized(g, {v: 0 for v in g}, 3)
+        assert str(vec.value) == str(ref.value)
+
+    def test_negative_schedule_color_rejected(self):
+        from repro.sim.vectorized import schedule_reduction_vectorized
+
+        with pytest.raises(ValueError, match=">= 0"):
+            schedule_reduction_vectorized(ring(6), {v: v - 1 for v in range(6)}, 3)
