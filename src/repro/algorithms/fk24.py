@@ -66,12 +66,16 @@ def fk24_list_size(degree: int, defect: int) -> int:
     return degree // (defect + 1) + 1
 
 
-def fk24_round_budget(lists: Iterable[Iterable[int]], n: int) -> int:
+def fk24_round_budget(lists: Iterable[Iterable[int]] | int, n: int) -> int:
     """Fault-free round budget: every round with an unfinished node either
     kills a candidate permanently (at most ``sum |L_v|`` times) or moves a
     node through adopt -> announce (at most ``2n`` times); the slack covers
-    the final announce/halt tail and empty graphs."""
-    return sum(len(tuple(lst)) for lst in lists) + 2 * n + 4
+    the final announce/halt tail and empty graphs.
+
+    ``lists`` is the per-node lists, or their total length ``sum |L_v|``
+    when they are already packed (a ragged ``list_indptr[-1]``)."""
+    total = lists if isinstance(lists, int) else sum(len(tuple(lst)) for lst in lists)
+    return total + 2 * n + 4
 
 
 def fk24_lists(

@@ -1,9 +1,14 @@
 """Validators for every coloring variant in the paper.
 
 All algorithms in this library are checked against these validators, which
-are written independently of the algorithms (direct quantification over
-edges / neighborhoods) so an algorithm bug cannot hide behind a matching
-validator bug.
+are written independently of the algorithms so an algorithm bug cannot hide
+behind a matching validator bug.  The networkx validators quantify directly
+over edges and neighborhoods in one pass, with plain dict and set lookups
+and no per-edge method calls: over ``graph.adjacency()``, or, for the
+arbdefective ones, over the orientation's arcs.  None calls into
+:mod:`repro.sim` or builds a CSR.  Only :func:`validate_defective_csr`,
+which checks the serving and sweep paths on a graph that is already
+frozen, reads the engine's arrays.
 
 Each validator returns a :class:`ValidationReport` rather than a bare bool,
 so the experiments can report *measured* defects against *allowed* defects
@@ -12,6 +17,7 @@ so the experiments can report *measured* defects against *allowed* defects
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -57,12 +63,29 @@ def _list_membership_violations(
 
 
 def validate_proper_coloring(graph: nx.Graph, result: ColoringResult) -> ValidationReport:
-    """Plain proper coloring: no two adjacent nodes share a color."""
-    violations = [f"node {v} is uncolored" for v in graph.nodes if v not in result.assignment]
-    for u, v in graph.edges:
-        cu, cv = result.assignment.get(u), result.assignment.get(v)
-        if cu is not None and cu == cv:
-            violations.append(f"monochromatic edge {{{u},{v}}} color {cu}")
+    """Plain proper coloring: no two adjacent nodes share a color.
+
+    One adjacency walk decides: a node conflicts when a neighbor sits in
+    its color class (a set lookup per adjacency slot, no color compared).
+    Colors group as dict keys do, so two colors that compare equal share
+    a class.  Only on a conflict are the monochromatic edges (``cu == cv``)
+    named, in ``graph.edges`` order.
+    """
+    assignment = result.assignment
+    get = assignment.get
+    violations = [f"node {v} is uncolored" for v in graph.nodes if v not in assignment]
+    classes = defaultdict(set)
+    for v, c in assignment.items():
+        classes[c].add(v)
+    for u, nbrs in graph.adjacency():
+        cu = get(u)
+        if cu is not None and not classes[cu].isdisjoint(nbrs):
+            violations.extend(
+                f"monochromatic edge {{{a},{b}}} color {ca}"
+                for a, b in graph.edges
+                if (ca := get(a)) is not None and ca == get(b)
+            )
+            break
     return ValidationReport(not violations, violations)
 
 
@@ -80,15 +103,15 @@ def validate_ldc(
     max_seen = 0
     max_allowed = 0
     g = instance.graph
-    for v in g.nodes:
-        if v not in result.assignment or result.assignment[v] not in instance.lists[v]:
+    assignment = result.assignment
+    get = assignment.get
+    pred = g.pred if instance.directed else None
+    for v, nbrs in g.adjacency():
+        if v not in assignment or assignment[v] not in instance.lists[v]:
             continue
-        x = result.assignment[v]
-        if instance.directed:
-            neigh = set(g.predecessors(v)) | set(g.successors(v))
-        else:
-            neigh = set(g.neighbors(v))
-        same = sum(1 for u in neigh if result.assignment.get(u) == x)
+        x = assignment[v]
+        neigh = nbrs if pred is None else nbrs.keys() | pred[v].keys()
+        same = len([u for u in neigh if get(u) == x])
         allowed = instance.defects[v][x]
         max_seen = max(max_seen, same)
         max_allowed = max(max_allowed, allowed)
@@ -112,15 +135,13 @@ def validate_oldc(
     violations = _list_membership_violations(instance, result)
     max_seen = 0
     max_allowed = 0
-    for v in instance.graph.nodes:
-        if v not in result.assignment or result.assignment[v] not in instance.lists[v]:
+    assignment = result.assignment
+    get = assignment.get
+    for v, succ in instance.graph.adjacency():
+        if v not in assignment or assignment[v] not in instance.lists[v]:
             continue
-        x = result.assignment[v]
-        same = sum(
-            1
-            for u in instance.graph.successors(v)
-            if result.assignment.get(u) == x
-        )
+        x = assignment[v]
+        same = len([u for u in succ if get(u) == x])
         allowed = instance.defects[v][x]
         max_seen = max(max_seen, same)
         max_allowed = max(max_allowed, allowed)
@@ -131,40 +152,79 @@ def validate_oldc(
     return ValidationReport(not violations, violations, max_seen, max_allowed)
 
 
+def _orientation_check(
+    graph: nx.Graph, assignment: Mapping, arcs: set
+) -> tuple[list[str], dict]:
+    """Check ``arcs`` against ``graph``: ``(edge_violations, out_same)``.
+
+    ``edge_violations`` names every edge that is unoriented or, with
+    distinct endpoints, oriented both ways, in ``graph.edges`` order.
+    ``out_same`` maps a node to its number of out-neighbors sharing its
+    color (absent: none; meaningful only when every node is colored).
+
+    Each arc is one edge, so one pass over ``arcs`` (``m`` set lookups,
+    not one per adjacency slot) both counts and decides the common case:
+    when exactly ``m`` arcs lie on edges and none has its reverse, every
+    edge is oriented exactly once.  Otherwise the edges are walked in
+    order to name the offenders.
+    """
+    adj = dict(graph.adjacency())
+    get = assignment.get
+    on_edges = 0
+    both_ways = False
+    out_same: dict = {}
+    for a, b in arcs:
+        nbrs = adj.get(a)
+        if nbrs is None or b not in nbrs:
+            continue  # an arc off the graph orients none of its edges
+        on_edges += 1
+        if a != b and (b, a) in arcs:
+            both_ways = True
+        if get(b) == get(a):
+            out_same[a] = out_same.get(a, 0) + 1
+    if on_edges == graph.number_of_edges() and not both_ways:
+        return [], out_same
+    edge_violations = []
+    for u, v in graph.edges:
+        forward, backward = (u, v) in arcs, (v, u) in arcs
+        if not (forward or backward):
+            edge_violations.append(f"edge {{{u},{v}}} is unoriented")
+        elif forward and backward and u != v:
+            edge_violations.append(f"edge {{{u},{v}}} is oriented both ways")
+    return edge_violations, out_same
+
+
 def validate_arbdefective(
     instance: ListDefectiveInstance, result: ColoringResult
 ) -> ValidationReport:
     """List arbdefective coloring (Definition 1.1, third bullet).
 
-    Requires ``result.orientation`` covering every edge of the graph; the
-    OLDC condition must hold with respect to that orientation.
+    Requires ``result.orientation`` orienting every edge of the graph
+    exactly once (an edge ``{u, v}``, ``u != v``, oriented both ways is a
+    violation); the OLDC condition must hold with respect to that
+    orientation.
     """
     if instance.directed:
         raise ValueError("arbdefective validation expects an undirected instance")
     if result.orientation is None:
         return ValidationReport(False, ["no edge orientation in result"])
     violations = _list_membership_violations(instance, result)
-    ori = result.orientation
-    for u, v in instance.graph.edges:
-        if not ori.is_oriented(u, v):
-            violations.append(f"edge {{{u},{v}}} is unoriented")
+    edge_violations, out_same = _orientation_check(
+        instance.graph, result.assignment, result.orientation.arcs
+    )
+    violations += edge_violations
     if violations:
         return ValidationReport(False, violations)
     max_seen = 0
     max_allowed = 0
     for v in instance.graph.nodes:
-        x = result.assignment[v]
-        out_same = sum(
-            1
-            for u in instance.graph.neighbors(v)
-            if ori.points_from(v, u) and result.assignment.get(u) == x
-        )
-        allowed = instance.defects[v][x]
-        max_seen = max(max_seen, out_same)
+        same = out_same.get(v, 0)
+        allowed = instance.defects[v][result.assignment[v]]
+        max_seen = max(max_seen, same)
         max_allowed = max(max_allowed, allowed)
-        if out_same > allowed:
+        if same > allowed:
             violations.append(
-                f"node {v}: {out_same} same-colored out-neighbors > allowed {allowed}"
+                f"node {v}: {same} same-colored out-neighbors > allowed {allowed}"
             )
     return ValidationReport(not violations, violations, max_seen, max_allowed)
 
@@ -173,15 +233,17 @@ def validate_defective_coloring(
     graph: nx.Graph, result: ColoringResult, defect: int
 ) -> ValidationReport:
     """Classic ``d``-defective coloring: each color class induces max degree <= d."""
+    assignment = result.assignment
+    get = assignment.get
     violations = [
-        f"node {v} is uncolored" for v in graph.nodes if v not in result.assignment
+        f"node {v} is uncolored" for v in graph.nodes if v not in assignment
     ]
     max_seen = 0
-    for v in graph.nodes:
-        if v not in result.assignment:
+    for v, nbrs in graph.adjacency():
+        if v not in assignment:
             continue
-        x = result.assignment[v]
-        same = sum(1 for u in graph.neighbors(v) if result.assignment.get(u) == x)
+        x = assignment[v]
+        same = len([u for u in nbrs if get(u) == x])
         max_seen = max(max_seen, same)
         if same > defect:
             violations.append(f"node {v}: defect {same} > {defect}")
@@ -224,29 +286,29 @@ def validate_arbdefective_plain(
     result: ColoringResult,
     arbdefect: int,
 ) -> ValidationReport:
-    """Classic ``d``-arbdefective coloring with an explicit orientation."""
+    """Classic ``d``-arbdefective coloring with an explicit orientation.
+
+    ``result.orientation`` must orient every edge exactly once (an edge
+    ``{u, v}``, ``u != v``, oriented both ways is a violation), and no node
+    may have more than ``arbdefect`` same-colored out-neighbors.
+    """
     if result.orientation is None:
         return ValidationReport(False, ["no edge orientation in result"])
     violations = [
         f"node {v} is uncolored" for v in graph.nodes if v not in result.assignment
     ]
-    ori = result.orientation
-    for u, v in graph.edges:
-        if not ori.is_oriented(u, v):
-            violations.append(f"edge {{{u},{v}}} is unoriented")
+    edge_violations, out_same = _orientation_check(
+        graph, result.assignment, result.orientation.arcs
+    )
+    violations += edge_violations
     if violations:
         return ValidationReport(False, violations)
     max_seen = 0
     for v in graph.nodes:
-        x = result.assignment[v]
-        out_same = sum(
-            1
-            for u in graph.neighbors(v)
-            if ori.points_from(v, u) and result.assignment.get(u) == x
-        )
-        max_seen = max(max_seen, out_same)
-        if out_same > arbdefect:
-            violations.append(f"node {v}: arbdefect {out_same} > {arbdefect}")
+        same = out_same.get(v, 0)
+        max_seen = max(max_seen, same)
+        if same > arbdefect:
+            violations.append(f"node {v}: arbdefect {same} > {arbdefect}")
     return ValidationReport(not violations, violations, max_seen, arbdefect)
 
 
@@ -268,14 +330,13 @@ def validate_generalized_oldc(
     violations = _list_membership_violations(instance, result)
     max_seen = 0
     max_allowed = 0
-    for v in instance.graph.nodes:
-        if v not in result.assignment or result.assignment[v] not in instance.lists[v]:
+    assignment = result.assignment
+    for v, succ in instance.graph.adjacency():
+        if v not in assignment or assignment[v] not in instance.lists[v]:
             continue
-        x = result.assignment[v]
-        close = sum(
-            1
-            for u in instance.graph.successors(v)
-            if u in result.assignment and abs(result.assignment[u] - x) <= g
+        x = assignment[v]
+        close = len(
+            [u for u in succ if u in assignment and abs(assignment[u] - x) <= g]
         )
         allowed = instance.defects[v][x]
         max_seen = max(max_seen, close)

@@ -57,6 +57,8 @@ from .engine import (
     _networkx_edges,
     collision_counts,
     equal_neighbor_counts,
+    match_counts,
+    pack_lists,
     poly_digits,
     poly_eval_grid,
     ragged_lists,
@@ -576,9 +578,7 @@ def _linial_faulty_rounds_batch(
                     edge_evals = poly_eval_grid(
                         poly_digits(delivered[edge_ok], q, deg), q
                     )
-                    match = edge_evals == own_evals[:, dst_l]
-                    for x in range(q):
-                        hits[x] = np.bincount(dst_l[match[x]], minlength=g)
+                    hits = match_counts(edge_evals == own_evals[:, dst_l], dst_l, g)
                 best_x = np.argmin(hits, axis=0)  # first occurrence
                 new_colors[members_idx] = (
                     best_x * q + own_evals[best_x, np.arange(g)]
@@ -1107,13 +1107,12 @@ def fk24_vectorized_batch(
                 lst, built_space = fk24_lists(gs[j], defects[j])
                 if spaces[j] is None:
                     spaces[j] = built_space
-            lst = {v: tuple(lst[v]) for v in member.nodes}
+            per_node = [tuple(lst[v]) for v in member.nodes]
             if spaces[j] is None:
-                spaces[j] = (
-                    max((max(t) for t in lst.values() if t), default=0) + 1
-                )
-            ragged.append(ragged_lists(member, lst))
-            base = fk24_round_budget(lst.values(), member.n)
+                spaces[j] = max((max(t) for t in per_node if t), default=0) + 1
+            list_indptr, list_values = pack_lists(per_node)
+            ragged.append((list_indptr, list_values))
+            base = fk24_round_budget(int(list_indptr[-1]), member.n)
             budgets.append(
                 base if plans[j] is None else plans[j].round_budget(base)
             )
@@ -1680,9 +1679,7 @@ class BatchInstance:
                 edge_evals = poly_eval_grid(
                     poly_digits(delivered[edge_ok], q, deg), q
                 )
-                match = edge_evals == own_evals[:, edge_dst]
-                for x in range(q):
-                    hits[x] = np.bincount(edge_dst[match[x]], minlength=n)
+                hits = match_counts(edge_evals == own_evals[:, edge_dst], edge_dst, n)
             members = np.nonzero(group)[0]
             best_x = np.argmin(hits[:, members], axis=0)
             new_colors[members] = best_x * q + own_evals[best_x, members]

@@ -355,6 +355,23 @@ def collision_counts(csr: CSRGraph, evals: np.ndarray) -> np.ndarray:
     return hits
 
 
+def match_counts(match: np.ndarray, receivers: np.ndarray, n: int) -> np.ndarray:
+    """Per (evaluation point, node) count of matching deliveries, int64.
+
+    ``match`` has shape ``(q, k)``: ``match[x, e]`` says whether delivery
+    ``e`` agrees with its receiver ``receivers[e]`` (a node in ``0..n-1``)
+    at point ``x``.  Returns ``hits`` of shape ``(q, n)`` where
+    ``hits[x, i]`` counts the deliveries to ``i`` that match at ``x``.
+    Delivery is per direction (a payload may be dropped one way and not
+    the other), so each match is counted at its receiver only, with one
+    integer ``np.bincount`` over ``x * n + receiver``.
+    """
+    xs, ks = np.nonzero(match)
+    return np.bincount(
+        xs * n + receivers[ks], minlength=match.shape[0] * n
+    ).reshape(match.shape[0], n)
+
+
 # ----------------------------------------------------------------------
 # polynomial machinery (Linial steps)
 # ----------------------------------------------------------------------
@@ -388,10 +405,16 @@ def ragged_lists(
     Dense node ``i``'s list is ``list_values[list_indptr[i]:list_indptr[i+1]]``
     in its original (preference) order.
     """
-    per_node = [tuple(lists[v]) for v in csr.nodes]
-    list_indptr = np.zeros(csr.n + 1, dtype=np.int64)
+    return pack_lists([tuple(lists[v]) for v in csr.nodes])
+
+
+def pack_lists(per_node: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Pack dense-ordered lists (node ``i``'s at ``per_node[i]``) into
+    ``(list_indptr, list_values)``, the layout of :func:`ragged_lists`."""
+    n = len(per_node)
+    list_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(
-        np.fromiter(map(len, per_node), dtype=np.int64, count=csr.n),
+        np.fromiter(map(len, per_node), dtype=np.int64, count=n),
         out=list_indptr[1:],
     )
     list_values = np.fromiter(

@@ -43,6 +43,8 @@ from .engine import (
     as_csr,
     collision_counts,
     equal_neighbor_counts,
+    match_counts,
+    pack_lists,
     poly_digits,
     poly_eval_grid,
     ragged_lists,
@@ -272,9 +274,7 @@ def _linial_faulty_rounds(
                 edge_evals = poly_eval_grid(
                     poly_digits(delivered[edge_ok], q, deg), q
                 )  # (q, #ok)
-                match = edge_evals == own_evals[:, edge_dst]
-                for x in range(q):
-                    hits[x] = np.bincount(edge_dst[match[x]], minlength=n)
+                hits = match_counts(edge_evals == own_evals[:, edge_dst], edge_dst, n)
             members = np.nonzero(group)[0]
             best_x = np.argmin(hits[:, members], axis=0)  # first occurrence
             new_colors[members] = best_x * q + own_evals[best_x, members]
@@ -601,14 +601,12 @@ def fk24_vectorized(
             lists, built_space = fk24_lists(csr, defect)
             if space_size is None:
                 space_size = built_space
-        lists = {v: tuple(lists[v]) for v in csr.nodes}
+        per_node = [tuple(lists[v]) for v in csr.nodes]
         if space_size is None:
-            space_size = (
-                max((max(lst) for lst in lists.values() if lst), default=0) + 1
-            )
+            space_size = max((max(lst) for lst in per_node if lst), default=0) + 1
         space = int(space_size)
-        list_indptr, list_values = ragged_lists(csr, lists)
-        budget = fk24_round_budget(lists.values(), n)
+        list_indptr, list_values = pack_lists(per_node)
+        budget = fk24_round_budget(int(list_indptr[-1]), n)
     max_rounds = budget if faults is None else faults.round_budget(budget)
     bits = int_bits(max(1, 2 * space - 1))
     metrics = synthesized_metrics(n)
@@ -669,8 +667,8 @@ def adoption_orientation(csr: CSRGraph, adopted: np.ndarray) -> EdgeOrientation:
     later = adopted[u] > adopted[w]
     # the graph's own label objects, shared by the arcs
     labels = np.fromiter(csr.nodes, dtype=object, count=csr.n)
-    tails = labels[np.where(later, u, w)]
-    heads = labels[np.where(later, w, u)]
+    tails = labels[np.where(later, u, w)].tolist()
+    heads = labels[np.where(later, w, u)].tolist()
     return EdgeOrientation(set(zip(tails, heads)))
 
 

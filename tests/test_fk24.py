@@ -162,6 +162,9 @@ def test_generated_lists_meet_the_size_floor(n, defect, seed):
         assert all(0 <= x < space for x in lst)
     budget = fk24_round_budget(lists.values(), g.number_of_nodes())
     assert budget == sum(len(lst) for lst in lists.values()) + 2 * n + 4
+    # the packed form the vectorized entries pass: the lists' total length
+    packed = sum(len(lst) for lst in lists.values())
+    assert fk24_round_budget(packed, g.number_of_nodes()) == budget
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.core import ColorSpace
 from repro.core.coloring import ColoringResult, EdgeOrientation
 from repro.core.instance import ListDefectiveInstance, uniform_instance
 from repro.core.validate import (
+    ValidationReport,
     validate_arbdefective,
     validate_arbdefective_plain,
     validate_defective_coloring,
@@ -265,3 +266,429 @@ class TestGeneralizedOLDC:
         inst, _ = self.make(0)
         with pytest.raises(ValueError):
             validate_generalized_oldc(inst, ColoringResult({0: 0, 1: 2}), -1)
+
+
+# ----------------------------------------------------------------------
+# Parity: the single-pass validators against the per-edge spec
+# ----------------------------------------------------------------------
+# The spec is the plain per-edge / per-neighbor loop each validator used to
+# be, kept here verbatim except for one rule both arbdefective specs gained
+# with the single-pass rewrite: an edge {u, v}, u != v, oriented both ways
+# is a violation.  Every report must equal the spec's field for field.
+
+
+def spec_proper(graph, result):
+    violations = [f"node {v} is uncolored" for v in graph.nodes if v not in result.assignment]
+    for u, v in graph.edges:
+        cu, cv = result.assignment.get(u), result.assignment.get(v)
+        if cu is not None and cu == cv:
+            violations.append(f"monochromatic edge {{{u},{v}}} color {cu}")
+    return ValidationReport(not violations, violations)
+
+
+def spec_membership(instance, result):
+    out = []
+    for v in instance.graph.nodes:
+        if v not in result.assignment:
+            out.append(f"node {v} is uncolored")
+            continue
+        x = result.assignment[v]
+        if x not in instance.lists[v]:
+            out.append(f"node {v}: color {x} not in its list")
+    return out
+
+
+def spec_ldc(instance, result):
+    violations = spec_membership(instance, result)
+    max_seen = 0
+    max_allowed = 0
+    g = instance.graph
+    for v in g.nodes:
+        if v not in result.assignment or result.assignment[v] not in instance.lists[v]:
+            continue
+        x = result.assignment[v]
+        if instance.directed:
+            neigh = set(g.predecessors(v)) | set(g.successors(v))
+        else:
+            neigh = set(g.neighbors(v))
+        same = sum(1 for u in neigh if result.assignment.get(u) == x)
+        allowed = instance.defects[v][x]
+        max_seen = max(max_seen, same)
+        max_allowed = max(max_allowed, allowed)
+        if same > allowed:
+            violations.append(
+                f"node {v}: {same} same-colored neighbors > allowed defect {allowed}"
+            )
+    return ValidationReport(not violations, violations, max_seen, max_allowed)
+
+
+def spec_oldc(instance, result):
+    violations = spec_membership(instance, result)
+    max_seen = 0
+    max_allowed = 0
+    for v in instance.graph.nodes:
+        if v not in result.assignment or result.assignment[v] not in instance.lists[v]:
+            continue
+        x = result.assignment[v]
+        same = sum(
+            1 for u in instance.graph.successors(v) if result.assignment.get(u) == x
+        )
+        allowed = instance.defects[v][x]
+        max_seen = max(max_seen, same)
+        max_allowed = max(max_allowed, allowed)
+        if same > allowed:
+            violations.append(
+                f"node {v}: {same} same-colored out-neighbors > allowed {allowed}"
+            )
+    return ValidationReport(not violations, violations, max_seen, max_allowed)
+
+
+def spec_generalized_oldc(instance, result, g):
+    violations = spec_membership(instance, result)
+    max_seen = 0
+    max_allowed = 0
+    for v in instance.graph.nodes:
+        if v not in result.assignment or result.assignment[v] not in instance.lists[v]:
+            continue
+        x = result.assignment[v]
+        close = sum(
+            1
+            for u in instance.graph.successors(v)
+            if u in result.assignment and abs(result.assignment[u] - x) <= g
+        )
+        allowed = instance.defects[v][x]
+        max_seen = max(max_seen, close)
+        max_allowed = max(max_allowed, allowed)
+        if close > allowed:
+            violations.append(
+                f"node {v}: {close} g-close out-neighbors > allowed {allowed}"
+            )
+    return ValidationReport(not violations, violations, max_seen, max_allowed)
+
+
+def spec_edge_orientation(graph, ori):
+    violations = []
+    for u, v in graph.edges:
+        if not ori.is_oriented(u, v):
+            violations.append(f"edge {{{u},{v}}} is unoriented")
+        elif u != v and ori.points_from(u, v) and ori.points_from(v, u):
+            violations.append(f"edge {{{u},{v}}} is oriented both ways")
+    return violations
+
+
+def spec_arbdefective(instance, result):
+    if result.orientation is None:
+        return ValidationReport(False, ["no edge orientation in result"])
+    violations = spec_membership(instance, result)
+    ori = result.orientation
+    violations += spec_edge_orientation(instance.graph, ori)
+    if violations:
+        return ValidationReport(False, violations)
+    max_seen = 0
+    max_allowed = 0
+    for v in instance.graph.nodes:
+        x = result.assignment[v]
+        out_same = sum(
+            1
+            for u in instance.graph.neighbors(v)
+            if ori.points_from(v, u) and result.assignment.get(u) == x
+        )
+        allowed = instance.defects[v][x]
+        max_seen = max(max_seen, out_same)
+        max_allowed = max(max_allowed, allowed)
+        if out_same > allowed:
+            violations.append(
+                f"node {v}: {out_same} same-colored out-neighbors > allowed {allowed}"
+            )
+    return ValidationReport(not violations, violations, max_seen, max_allowed)
+
+
+def spec_arbdefective_plain(graph, result, arbdefect):
+    if result.orientation is None:
+        return ValidationReport(False, ["no edge orientation in result"])
+    violations = [
+        f"node {v} is uncolored" for v in graph.nodes if v not in result.assignment
+    ]
+    ori = result.orientation
+    violations += spec_edge_orientation(graph, ori)
+    if violations:
+        return ValidationReport(False, violations)
+    max_seen = 0
+    for v in graph.nodes:
+        x = result.assignment[v]
+        out_same = sum(
+            1
+            for u in graph.neighbors(v)
+            if ori.points_from(v, u) and result.assignment.get(u) == x
+        )
+        max_seen = max(max_seen, out_same)
+        if out_same > arbdefect:
+            violations.append(f"node {v}: arbdefect {out_same} > {arbdefect}")
+    return ValidationReport(not violations, violations, max_seen, arbdefect)
+
+
+def spec_defective(graph, result, defect):
+    violations = [
+        f"node {v} is uncolored" for v in graph.nodes if v not in result.assignment
+    ]
+    max_seen = 0
+    for v in graph.nodes:
+        if v not in result.assignment:
+            continue
+        x = result.assignment[v]
+        same = sum(1 for u in graph.neighbors(v) if result.assignment.get(u) == x)
+        max_seen = max(max_seen, same)
+        if same > defect:
+            violations.append(f"node {v}: defect {same} > {defect}")
+    return ValidationReport(not violations, violations, max_seen, defect)
+
+
+def _scrambled(graph, rng, labels=None):
+    """``graph`` rebuilt in a shuffled insertion order, optionally relabeled."""
+    nodes = list(graph.nodes)
+    edges = list(graph.edges)
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    h = graph.__class__()
+    relabel = labels or (lambda v: v)
+    h.add_nodes_from(relabel(v) for v in nodes)
+    h.add_edges_from((relabel(u), relabel(v)) for u, v in edges)
+    return h
+
+
+def _random_graphs(seed, directed=False):
+    """Seeded random graphs: sparse and dense, scrambled insertion order,
+    string labels, self-loops and isolated nodes."""
+    import random
+
+    rng = random.Random(seed)
+    n = rng.randint(1, 24)
+    base = nx.gnp_random_graph(n, rng.choice([0.1, 0.3, 0.6]), seed=seed, directed=directed)
+    out = [base, _scrambled(base, rng)]
+    out.append(_scrambled(base, rng, labels=lambda v: f"v{v}"))
+    looped = base.copy()
+    looped.add_edges_from((v, v) for v in rng.sample(range(n), min(n, 3)))
+    looped.add_node(n)  # isolated
+    out.append(looped)
+    return rng, out
+
+
+def _corrupted_colorings(g, rng, palette):
+    """A random coloring, then the same with nodes recolored, uncolored and
+    colored outside ``palette``."""
+    nodes = list(g.nodes)
+    base = {v: rng.randrange(palette) for v in nodes}
+    yield base
+    recolored = dict(base)
+    for v in rng.sample(nodes, min(len(nodes), 3)):
+        recolored[v] = rng.randrange(palette)
+    yield recolored
+    if nodes:
+        uncolored = dict(base)
+        del uncolored[rng.choice(nodes)]
+        yield uncolored
+        outside = dict(base)
+        outside[rng.choice(nodes)] = palette + 5
+        yield outside
+
+
+def _corrupted_orientations(g, rng, arcs=None):
+    """A well-formed orientation (``arcs``, or a random acyclic one), then
+    dropped, both-way, flipped and off-graph arcs."""
+    order = list(g.nodes)
+    rng.shuffle(order)
+    if arcs is None:
+        rank = {v: i for i, v in enumerate(order)}
+        arcs = {(u, v) if rank[u] <= rank[v] else (v, u) for u, v in g.edges}
+    yield arcs
+    edges = sorted(arcs, key=repr)
+    if edges:
+        picked = rng.sample(edges, min(len(edges), 2))
+        yield arcs - set(picked)
+        yield arcs | {(b, a) for a, b in picked}
+        yield (arcs - set(picked)) | {(b, a) for a, b in picked}
+        # one edge both ways and one unoriented: still m arcs on edges
+        yield (arcs | {(b, a) for a, b in picked[:1]}) - set(picked[1:])
+    yield arcs | {("ghost", v) for v in order[:2]}
+
+
+class TestSinglePassParity:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_proper_and_defective(self, seed):
+        rng, gs = _random_graphs(seed)
+        for g in gs:
+            for assignment in _corrupted_colorings(g, rng, palette=3):
+                res = ColoringResult(assignment)
+                assert validate_proper_coloring(g, res) == spec_proper(g, res)
+                for d in (0, 1, 2):
+                    assert validate_defective_coloring(g, res, d) == spec_defective(g, res, d)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_proper_and_defective_on_digraphs(self, seed):
+        rng, gs = _random_graphs(seed, directed=True)
+        for g in gs:
+            for assignment in _corrupted_colorings(g, rng, palette=3):
+                res = ColoringResult(assignment)
+                assert validate_proper_coloring(g, res) == spec_proper(g, res)
+                assert validate_defective_coloring(g, res, 1) == spec_defective(g, res, 1)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_arbdefective(self, seed):
+        rng, gs = _random_graphs(seed)
+        for g in gs:
+            inst = uniform_instance(g, ColorSpace(3), range(3), rng.randint(0, 2))
+            colorings = list(_corrupted_colorings(g, rng, palette=3))
+            for arcs in _corrupted_orientations(g, rng):
+                for assignment in colorings:
+                    res = ColoringResult(assignment, EdgeOrientation(set(arcs)))
+                    assert validate_arbdefective(inst, res) == spec_arbdefective(inst, res)
+                    for d in (0, 1, 2):
+                        assert validate_arbdefective_plain(
+                            g, res, d
+                        ) == spec_arbdefective_plain(g, res, d)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ldc(self, seed):
+        rng, gs = _random_graphs(seed)
+        for g in gs:
+            inst = _random_list_instance(g, rng)
+            for assignment in _corrupted_colorings(g, rng, palette=4):
+                res = ColoringResult(assignment)
+                assert validate_ldc(inst, res) == spec_ldc(inst, res)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_directed_ldc_oldc_and_generalized(self, seed):
+        rng, gs = _random_graphs(seed, directed=True)
+        for g in gs:
+            inst = _random_list_instance(g, rng)
+            for assignment in _corrupted_colorings(g, rng, palette=4):
+                res = ColoringResult(assignment)
+                assert validate_ldc(inst, res) == spec_ldc(inst, res)
+                assert validate_oldc(inst, res) == spec_oldc(inst, res)
+                for gap in (0, 1, 3):
+                    assert validate_generalized_oldc(
+                        inst, res, gap
+                    ) == spec_generalized_oldc(inst, res, gap)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kernel_outputs(self, seed):
+        from repro.algorithms.fk24 import fk24_lists
+        from repro.sim.vectorized import fk24_vectorized
+
+        g = gnp(60, 0.15, seed=seed)
+        res = linial_vectorized(g)[0]
+        assert validate_proper_coloring(g, res) == spec_proper(g, res)
+        assert validate_proper_coloring(g, res).ok
+        lists, space = fk24_lists(g, 1)
+        fk = fk24_vectorized(g, lists=lists, space_size=space, defect=1)[0]
+        assert validate_arbdefective_plain(g, fk, 1) == spec_arbdefective_plain(g, fk, 1)
+        assert validate_arbdefective_plain(g, fk, 1).ok
+
+    def test_bool_colors_compare_by_equality(self):
+        # 1 == True: a monochromatic edge even though the types differ
+        g = path(3)
+        res = ColoringResult({0: 1, 1: True, 2: 0})
+        assert validate_proper_coloring(g, res) == spec_proper(g, res)
+        assert not validate_proper_coloring(g, res).ok
+
+
+def _random_list_instance(g, rng):
+    lists = {v: tuple(rng.sample(range(4), rng.randint(1, 4))) for v in g.nodes}
+    defects = {v: {x: rng.randint(0, 2) for x in lst} for v, lst in lists.items()}
+    return ListDefectiveInstance(g, ColorSpace(4), lists, defects)
+
+
+class TestBothWays:
+    """An edge oriented both ways is not a list arbdefective orientation."""
+
+    def test_path_with_a_doubled_edge(self):
+        from repro.experiments.sweep import _fk24_valid
+
+        g = path(3)
+        ori = EdgeOrientation({(0, 1), (1, 0), (1, 2)})
+        res = ColoringResult({0: 0, 1: 1, 2: 0}, ori)
+        inst = uniform_instance(g, ColorSpace(2), range(2), 1)
+        for rep in (validate_arbdefective_plain(g, res, 1), validate_arbdefective(inst, res)):
+            assert not rep.ok
+            assert rep.violations == ["edge {0,1} is oriented both ways"]
+        lists = {v: (0, 1) for v in g.nodes}
+        assert not _fk24_valid(CSRGraph.from_networkx(g), res, lists, 1)
+
+    def test_oriented_self_loop_is_not_both_ways(self):
+        g = path(2)
+        g.add_edge(1, 1)
+        res = ColoringResult({0: 0, 1: 1}, EdgeOrientation({(0, 1), (1, 1)}))
+        assert validate_arbdefective_plain(g, res, 1).ok
+        assert not validate_arbdefective_plain(g, res, 0).ok  # the loop is same-colored
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_validators_agree_with_the_sweep_check(self, seed):
+        import random
+
+        from repro.algorithms.fk24 import fk24_lists
+        from repro.experiments.sweep import _fk24_valid
+        from repro.sim.vectorized import fk24_vectorized
+
+        rng = random.Random(seed)
+        defect = rng.randint(0, 2)
+        g = gnp(rng.randint(2, 40), rng.choice([0.1, 0.3]), seed=seed)
+        lists, space = fk24_lists(g, defect, seed=seed)
+        inst = ListDefectiveInstance(
+            g,
+            ColorSpace(space),
+            dict(lists),
+            {v: {x: defect for x in lst} for v, lst in lists.items()},
+        )
+        csr = CSRGraph.from_networkx(g)
+        out = fk24_vectorized(g, lists=lists, space_size=space, defect=defect)[0]
+        assignments = [out.assignment]
+        recolored = dict(out.assignment)
+        for v in rng.sample(list(g.nodes), min(3, g.number_of_nodes())):
+            recolored[v] = rng.choice(lists[v])
+        assignments.append(recolored)
+        verdicts = set()
+        for arcs in _corrupted_orientations(g, rng, out.orientation.arcs):
+            for assignment in assignments:
+                res = ColoringResult(assignment, EdgeOrientation(set(arcs)))
+                sweep = _fk24_valid(csr, res, lists, defect)
+                assert validate_arbdefective(inst, res).ok == sweep
+                assert validate_arbdefective_plain(g, res, defect).ok == sweep
+                verdicts.add(sweep)
+        assert True in verdicts  # the kernel's own output passes
+
+
+class TestIndependentOfEngines:
+    """The networkx validators never reach into repro.sim."""
+
+    def test_pass_and_fail_with_engine_helpers_broken(self, monkeypatch):
+        import repro.sim.engine as engine
+
+        def broken(*_a, **_k):
+            raise AssertionError("networkx validator called into repro.sim")
+
+        g = ring(5)
+        colors = ColoringResult({0: 0, 1: 1, 2: 0, 3: 1, 4: 2})
+        clash = ColoringResult({0: 0, 1: 0, 2: 1, 3: 0, 4: 1})
+        ori = EdgeOrientation({(v, (v + 1) % 5) for v in range(5)})
+        inst = uniform_instance(g, ColorSpace(3), range(3), 0)
+        monkeypatch.setattr(engine.CSRGraph, "from_networkx", broken)
+        monkeypatch.setattr(engine, "equal_neighbor_counts", broken)
+        assert validate_proper_coloring(g, colors).ok
+        assert not validate_proper_coloring(g, clash).ok
+        assert validate_defective_coloring(g, clash, 1).ok
+        assert not validate_defective_coloring(g, clash, 0).ok
+        assert validate_ldc(inst, colors).ok
+        assert not validate_ldc(inst, clash).ok
+        oriented_clash = ColoringResult(clash.assignment, ori)
+        assert validate_arbdefective(
+            uniform_instance(g, ColorSpace(3), range(3), 1), oriented_clash
+        ).ok
+        assert not validate_arbdefective(inst, oriented_clash).ok
+        assert not validate_arbdefective_plain(
+            g, ColoringResult(colors.assignment, EdgeOrientation({(0, 1)})), 0
+        ).ok
+        oinst = inst.to_oriented()
+        assert validate_oldc(oinst, colors).ok
+        assert not validate_oldc(oinst, clash).ok
+        assert validate_generalized_oldc(oinst, colors, 0).ok
+        assert not validate_generalized_oldc(oinst, colors, 2).ok
