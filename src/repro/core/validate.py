@@ -6,9 +6,9 @@ behind a matching validator bug.  The networkx validators quantify directly
 over edges and neighborhoods in one pass, with plain dict and set lookups
 and no per-edge method calls: over ``graph.adjacency()``, or, for the
 arbdefective ones, over the orientation's arcs.  None calls into
-:mod:`repro.sim` or builds a CSR.  Only :func:`validate_defective_csr`,
-which checks the serving and sweep paths on a graph that is already
-frozen, reads the engine's arrays.
+:mod:`repro.sim` or builds a CSR.  Only :func:`validate_defective_csr`
+and :func:`list_arbdefective_csr_ok`, which check the serving and sweep
+paths on a graph that is already frozen, read the engine's arrays.
 
 Each validator returns a :class:`ValidationReport` rather than a bare bool,
 so the experiments can report *measured* defects against *allowed* defects
@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import networkx as nx
 import numpy as np
@@ -279,6 +280,56 @@ def validate_defective_csr(csr, assignment: Mapping, defect: int) -> ValidationR
     ]
     max_seen = int(same.max()) if same.size else 0
     return ValidationReport(not violations, violations, max_seen, defect)
+
+
+def list_arbdefective_csr_ok(
+    csr, result: ColoringResult, lists: Mapping, defect: int
+) -> bool:
+    """The list arbdefective contract on a frozen
+    :class:`~repro.sim.engine.CSRGraph`, as one bool.
+
+    What :func:`validate_arbdefective_plain` checks, plus list
+    membership: every node is colored from its own list, the result's
+    ``orientation`` orients every edge exactly once, and no node has more
+    than ``defect`` out-neighbors of its own color.  The sweep checks its
+    fk24 cells with it.
+    """
+    assignment, ori = result.assignment, result.orientation
+    if ori is None:
+        return False
+    try:
+        colors = csr.gather(assignment)
+    except KeyError:  # an uncolored node
+        return False
+    if not all(assignment[v] in lists[v] for v in csr.nodes):
+        return False
+    # arcs over dense ids; an arc with an endpoint outside the graph
+    # orients none of its edges
+    ends = np.fromiter(
+        map(csr.index.get, chain.from_iterable(ori.arcs), repeat(-1)),
+        dtype=np.int64,
+        count=2 * len(ori.arcs),
+    ).reshape(-1, 2)
+    ends = ends[(ends >= 0).all(axis=1)]
+    arcs = np.sort(ends[:, 0] * csr.n + ends[:, 1])
+
+    def oriented(tails, heads):
+        keys = tails * csr.n + heads
+        if not arcs.size:
+            return np.zeros(keys.shape, dtype=bool)
+        pos = np.minimum(np.searchsorted(arcs, keys), arcs.size - 1)
+        return arcs[pos] == keys
+
+    fwd = csr.src < csr.indices
+    u, w = csr.src[fwd], csr.indices[fwd]
+    u_to_w, w_to_u = oriented(u, w), oriented(w, u)
+    if not (u_to_w ^ w_to_u).all():
+        return False
+    same = colors[u] == colors[w]
+    out_same = np.bincount(u[same & u_to_w], minlength=csr.n) + np.bincount(
+        w[same & w_to_u], minlength=csr.n
+    )
+    return not csr.n or int(out_same.max()) <= defect
 
 
 def validate_arbdefective_plain(

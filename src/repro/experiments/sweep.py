@@ -494,67 +494,17 @@ def _is_fk24(algorithm: str) -> bool:
     return algorithm.startswith("fk24")
 
 
-def _fk24_valid(csr, result, lists, defect: int) -> bool:
-    """The list arbdefective contract, checked on CSR arrays.
-
-    What :func:`~repro.core.validate.validate_arbdefective_plain` checks,
-    plus list membership: every node is colored from its own list, the
-    result's ``orientation`` orients every edge exactly once, and no node
-    has more than ``defect`` out-neighbors of its own color.
-    """
-    from itertools import chain, repeat
-
-    import numpy as np
-
-    assignment, ori = result.assignment, result.orientation
-    if ori is None:
-        return False
-    try:
-        colors = csr.gather(assignment)
-    except KeyError:  # an uncolored node
-        return False
-    if not all(assignment[v] in lists[v] for v in csr.nodes):
-        return False
-    # arcs over dense ids; an arc with an endpoint outside the graph
-    # orients none of its edges
-    ends = np.fromiter(
-        map(csr.index.get, chain.from_iterable(ori.arcs), repeat(-1)),
-        dtype=np.int64,
-        count=2 * len(ori.arcs),
-    ).reshape(-1, 2)
-    ends = ends[(ends >= 0).all(axis=1)]
-    arcs = np.sort(ends[:, 0] * csr.n + ends[:, 1])
-
-    def oriented(tails, heads):
-        keys = tails * csr.n + heads
-        if not arcs.size:
-            return np.zeros(keys.shape, dtype=bool)
-        pos = np.minimum(np.searchsorted(arcs, keys), arcs.size - 1)
-        return arcs[pos] == keys
-
-    fwd = csr.src < csr.indices
-    u, w = csr.src[fwd], csr.indices[fwd]
-    u_to_w, w_to_u = oriented(u, w), oriented(w, u)
-    if not (u_to_w ^ w_to_u).all():
-        return False
-    same = colors[u] == colors[w]
-    out_same = np.bincount(u[same & u_to_w], minlength=csr.n) + np.bincount(
-        w[same & w_to_u], minlength=csr.n
-    )
-    return not csr.n or int(out_same.max()) <= defect
-
-
 def _validate(csr, result, algorithm, params, config=None) -> bool:
     """Vectorized validity check appropriate to the algorithm's contract,
     on the cell's CSR.  ``config`` is an fk24 cell's
     :func:`_fk24_cell_config`, the one its run used."""
-    from ..core.validate import validate_defective_csr
+    from ..core.validate import list_arbdefective_csr_ok, validate_defective_csr
 
     if _is_fk24(algorithm):
         # list arbdefective contract: the defect budget counts
         # same-colored *out*-neighbors under the result's orientation
         lists, _space, defect = config
-        return _fk24_valid(csr, result, lists, defect)
+        return list_arbdefective_csr_ok(csr, result, lists, defect)
 
     default = 1 if algorithm.startswith("defective_split") else 0
     allowed = int(params.get("defect", default))

@@ -1,13 +1,31 @@
-"""Batched multi-instance execution: k graphs, one block-diagonal CSR.
+"""The round rules of Linial and FK24, run over k graphs at once.
 
-Every sweep cell, fuzz case, and benchmark row runs the vectorized CSR
-engine on one graph at a time, so a grid of thousands of *small*
-instances pays per-instance Python dispatch for every round.  The
-schedule-driven kernels are embarrassingly parallel across instances —
-no information ever crosses an instance boundary — so k instances can be
-packed into a single block-diagonal :class:`BatchCSRGraph` and run
-through the existing kernels as single NumPy operations spanning all
-instances at once.
+Linial's color reduction and the [FK24] list-defective algorithm are each
+one synchronous round rule.  This module holds each rule exactly once:
+
+* :func:`linial_step` — one fault-free Linial step (digits → evaluation
+  grid → collision count → first-occurrence ``argmin``), called by the
+  batched driver, the serving stepper and the partitioned shard worker;
+* :func:`_linial_receive` — the faulty Linial receive over delivered
+  payloads, shared by the batched faulty loop and
+  :meth:`BatchInstance._faulty_round`;
+* :func:`_deliver` — one instance's round of faulty delivery (fates,
+  the pending buffer, corruption, fault counts), shared by every faulty
+  loop;
+* the FK24 round loops (:func:`_fk24_rounds_batch`,
+  :func:`_fk24_faulty_rounds_batch`) with their candidate rule
+  (:class:`_CandidateScan`) and the adoption orientation
+  (:func:`adoption_orientation`).
+
+Every engine is an executor around these rules.  The drivers
+:func:`linial_vectorized_batch` and :func:`fk24_vectorized_batch` run k
+instances packed into one block-diagonal :class:`BatchCSRGraph`;
+:func:`~repro.sim.vectorized.linial_vectorized` and
+:func:`~repro.sim.vectorized.fk24_vectorized` are their k=1 calls.  The
+kernels are embarrassingly parallel across instances — no information
+ever crosses an instance boundary — so a grid of thousands of *small*
+instances pays Python dispatch once per round, not once per instance
+per round.
 
 The packing is literal block-diagonal structure:
 
@@ -21,19 +39,19 @@ The packing is literal block-diagonal structure:
   shape alone guarantees no cross-instance counting;
 * ``instance_id`` maps every dense node back to its member.
 
-**Equivalence contract** (the point of the whole module): each batched
-kernel produces, per instance, the *identical* ``(output, RunMetrics,
+**Equivalence contract** (the point of the whole module): each driver
+produces, per instance, the *identical* ``(output, RunMetrics,
 palette)`` triple — and, with recorders attached, the identical obs
 schema v2 :class:`~repro.obs.RunRecord` rows including per-round fault
-columns — as its single-instance twin in :mod:`repro.sim.vectorized`.
-Per-instance termination masks stop finished (or halted) instances from
-contributing rounds, and the per-instance accounting is demultiplexed
-through the same :func:`~repro.sim.engine.record_uniform_round`
-primitive the single-instance paths charge through.  The battery in
+columns — as a run of that instance alone, which in turn equals the
+reference simulator's run.  Per-instance termination masks stop finished
+(or halted) instances from contributing rounds, and the per-instance
+accounting is demultiplexed through
+:func:`~repro.sim.engine.record_uniform_round`.  The battery in
 ``tests/test_batch.py`` replays the entire fuzz corpus through this
 module at batch sizes 1/4/16 and asserts node-for-node equality.
 
-Fault injection batches too: :func:`linial_vectorized_batch` accepts one
+Fault injection batches too: the drivers accept one
 :class:`~repro.faults.FaultPlan` (or ``None``) per instance; plans are
 pure functions of ``(seed, round, node labels)``, so each member of the
 batch sees exactly the adversary its single-instance run would.  An
@@ -46,15 +64,17 @@ instances in the batch still complete.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
-from ..core.coloring import ColoringResult
+from ..core.coloring import ColoringResult, EdgeOrientation
 from .engine import (
     CSRGraph,
     _adjacency,
     _networkx_edges,
+    as_csr,
     collision_counts,
     equal_neighbor_counts,
     match_counts,
@@ -72,13 +92,37 @@ from .node import HaltingError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> sim)
     from ..obs import RunRecorder
 
-#: Sentinel larger than any within-list position (greedy first-free scan).
-_NO_PICK = np.int64(1) << np.int64(60)
+#: Sentinel larger than any within-list position (the greedy first-free
+#: and FK24 first-viable scans).
+_NO_POS = np.int64(1) << np.int64(60)
 
 
 # ----------------------------------------------------------------------
 # the block-diagonal graph
 # ----------------------------------------------------------------------
+def _shift(a: np.ndarray, by: int) -> np.ndarray:
+    """``a + by``, or ``a`` itself when ``by`` is 0: frozen CSR arrays are
+    never written, so a batch may share them with its members."""
+    return a + by if by else a
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(parts)``, sharing a lone part rather than copying it."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _join_indptrs(indptrs: Sequence[np.ndarray], starts) -> np.ndarray:
+    """One prefix array from per-part prefix arrays (CSR ``indptr``\\ s or
+    ragged-list ``list_indptr``\\ s), part ``p`` shifted by ``starts[p]``."""
+    return _concat(
+        [
+            _shift(ip[1 if p else 0 :], start)
+            for p, (ip, start) in enumerate(zip(indptrs, starts))
+        ]
+        or [np.zeros(1, dtype=np.int64)]
+    )
+
+
 class BatchCSRGraph:
     """k independent :class:`~repro.sim.engine.CSRGraph`s as one CSR.
 
@@ -104,41 +148,26 @@ class BatchCSRGraph:
     __slots__ = (
         "members",
         "k",
-        "node_offsets",
-        "edge_offsets",
         "indptr",
         "indices",
         "src",
-        "instance_id",
+        "_node_bounds",
+        "_edge_bounds",
     )
 
     def __init__(self, members: Sequence[CSRGraph]) -> None:
         self.members = tuple(members)
-        k = len(self.members)
-        self.k = k
-        node_counts = np.array([m.n for m in self.members], dtype=np.int64)
-        edge_counts = np.array(
-            [m.num_directed_edges for m in self.members], dtype=np.int64
-        )
-        self.node_offsets = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(node_counts, out=self.node_offsets[1:])
-        self.edge_offsets = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(edge_counts, out=self.edge_offsets[1:])
-        n_total = int(self.node_offsets[-1])
-        self.indptr = np.zeros(n_total + 1, dtype=np.int64)
-        self.indices = np.empty(int(self.edge_offsets[-1]), dtype=np.int64)
-        self.src = np.empty(int(self.edge_offsets[-1]), dtype=np.int64)
-        for j, member in enumerate(self.members):
-            ns = slice(int(self.node_offsets[j]), int(self.node_offsets[j + 1]))
-            es = slice(int(self.edge_offsets[j]), int(self.edge_offsets[j + 1]))
-            self.indptr[ns.start + 1 : ns.stop + 1] = (
-                member.indptr[1:] + self.edge_offsets[j]
-            )
-            self.indices[es] = member.indices + self.node_offsets[j]
-            self.src[es] = member.src + self.node_offsets[j]
-        self.instance_id = np.repeat(
-            np.arange(k, dtype=np.int64), node_counts
-        )
+        self.k = len(self.members)
+        # plain-int prefix lists: slicing by them is the per-round hot path
+        node_bounds = [0, *accumulate(m.n for m in self.members)]
+        edge_bounds = [0, *accumulate(m.num_directed_edges for m in self.members)]
+        self._node_bounds, self._edge_bounds = node_bounds, edge_bounds
+        # each member's arrays shifted into the global ranges
+        self.indptr = _join_indptrs([m.indptr for m in self.members], edge_bounds)
+        shifted = list(zip(self.members, node_bounds))
+        empty = [np.zeros(0, dtype=np.int64)]
+        self.indices = _concat([_shift(m.indices, o) for m, o in shifted] or empty)
+        self.src = _concat([_shift(m.src, o) for m, o in shifted] or empty)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -154,41 +183,47 @@ class BatchCSRGraph:
         global arrays are value-identical to
         :meth:`CSRGraph.from_networkx` on each graph (same stable-sort
         edge order), so per-instance fallbacks and sub-batches see
-        exactly what a per-graph freeze would have produced.
+        exactly what a per-graph freeze would have produced.  Members that
+        are already frozen :class:`~repro.sim.engine.CSRGraph`\\ s are used
+        as they are: a batch holding any is packed member by member
+        (:meth:`from_csrs`), freezing only its networkx members.
         """
+        if any(isinstance(g, CSRGraph) for g in graphs):
+            return cls([as_csr(g) for g in graphs])
         nodes_list, index_list, node_offsets, edges = _networkx_edges(graphs)
         k = len(nodes_list)
-        node_counts = np.diff(node_offsets)
         n_total = int(node_offsets[-1])
         # _adjacency's stable sort by (global) source: member node ranges
         # are disjoint and increasing, so it both groups edges by member
         # and, within a member, gives exactly from_networkx's arrays.
         indptr, indices = _adjacency(n_total, edges)
-        edge_offsets = indptr[node_offsets]
+        src = np.repeat(np.arange(n_total, dtype=np.int64), indptr[1:] - indptr[:-1])
+        node_bounds = node_offsets.tolist()
+        edge_bounds = indptr[node_offsets].tolist()
 
         members = []
         for j in range(k):
-            n0, n1 = int(node_offsets[j]), int(node_offsets[j + 1])
-            e0, e1 = int(edge_offsets[j]), int(edge_offsets[j + 1])
+            n0, n1 = node_bounds[j], node_bounds[j + 1]
+            e0, e1 = edge_bounds[j], edge_bounds[j + 1]
             members.append(
                 CSRGraph(
                     n1 - n0,
                     nodes_list[j],
                     index_list[j],
-                    indptr[n0 : n1 + 1] - e0,
-                    indices[e0:e1] - n0,
+                    _shift(indptr[n0 : n1 + 1], -e0),
+                    _shift(indices[e0:e1], -n0),
+                    src=_shift(src[e0:e1], -n0),
                 )
             )
 
         batch = cls.__new__(cls)
         batch.members = tuple(members)
         batch.k = k
-        batch.node_offsets = node_offsets
-        batch.edge_offsets = edge_offsets
+        batch._node_bounds = node_bounds
+        batch._edge_bounds = edge_bounds
         batch.indptr = indptr
         batch.indices = indices
-        batch.src = np.repeat(np.arange(n_total, dtype=np.int64), np.diff(indptr))
-        batch.instance_id = np.repeat(np.arange(k, dtype=np.int64), node_counts)
+        batch.src = src
         return batch
 
     @classmethod
@@ -198,15 +233,32 @@ class BatchCSRGraph:
 
     # ------------------------------------------------------------------
     @property
+    def node_offsets(self) -> np.ndarray:
+        """``len k+1`` prefix array of member node counts."""
+        return np.array(self._node_bounds, dtype=np.int64)
+
+    @property
+    def edge_offsets(self) -> np.ndarray:
+        """``len k+1`` prefix array of member directed edge counts."""
+        return np.array(self._edge_bounds, dtype=np.int64)
+
+    @property
     def n(self) -> int:
         """Total dense node count across all members (duck-types as
         ``CSRGraph.n`` for the shared engine kernels)."""
-        return int(self.node_offsets[-1])
+        return self._node_bounds[-1]
 
     @property
     def num_directed_edges(self) -> int:
         """Total directed edge slots across all members."""
-        return int(self.edge_offsets[-1])
+        return self._edge_bounds[-1]
+
+    @property
+    def instance_id(self) -> np.ndarray:
+        """Per dense node, the owning member's batch index."""
+        return np.repeat(
+            np.arange(self.k, dtype=np.int64), np.diff(self.node_offsets)
+        )
 
     @property
     def edge_instance_id(self) -> np.ndarray:
@@ -217,11 +269,11 @@ class BatchCSRGraph:
 
     def node_slice(self, j: int) -> slice:
         """Member ``j``'s contiguous dense node range."""
-        return slice(int(self.node_offsets[j]), int(self.node_offsets[j + 1]))
+        return slice(self._node_bounds[j], self._node_bounds[j + 1])
 
     def edge_slice(self, j: int) -> slice:
         """Member ``j``'s contiguous directed edge range."""
-        return slice(int(self.edge_offsets[j]), int(self.edge_offsets[j + 1]))
+        return slice(self._edge_bounds[j], self._edge_bounds[j + 1])
 
     # ------------------------------------------------------------------
     def gather(
@@ -273,7 +325,9 @@ class _MultiPhase:
 
 
 def _phase_all(recorders: Sequence["RunRecorder | None"], name: str):
-    return _MultiPhase(recorders, name) if recorders else nullcontext()
+    if recorders.count(None) < len(recorders):
+        return _MultiPhase(recorders, name)
+    return nullcontext()
 
 
 def _seq_arg(value, k: int, name: str) -> list:
@@ -311,6 +365,9 @@ def _write_back(
     batch: BatchCSRGraph, js: list[int], colors: np.ndarray, sub_colors: np.ndarray
 ) -> None:
     """Scatter a sub-batch's dense values back into the full batch array."""
+    if len(js) == batch.k:
+        colors[:] = sub_colors
+        return
     off = 0
     for j in js:
         sl = batch.node_slice(j)
@@ -328,7 +385,140 @@ def _raise_or_return(results: list, return_exceptions: bool) -> list:
 
 
 # ----------------------------------------------------------------------
-# batched Linial (fault-free round loop)
+# the round rules: one Linial step, one faulty delivery, one faulty receive
+# ----------------------------------------------------------------------
+def linial_step(
+    csr: Any, colors: np.ndarray, q: int, deg: int, owned: int | None = None
+) -> np.ndarray:
+    """One fault-free Linial color reduction step over ``csr``.
+
+    Each node reads its color as a degree-``deg`` polynomial over
+    ``F_q`` (base-``q`` digits), counts per evaluation point how many
+    neighbors agree with it (:func:`~repro.sim.engine.collision_counts`)
+    and moves to ``x * q + p(x)`` at the first point ``x`` of fewest
+    collisions (NumPy's first-occurrence ``argmin``: the smallest point
+    among the minima, the reference's tie-break).  ``csr`` is a
+    :class:`~repro.sim.engine.CSRGraph`, a :class:`BatchCSRGraph` or a
+    shard's local adjacency.  With ``owned``, only the first ``owned``
+    columns are updated and returned; columns are independent, so the cut
+    keeps the full graph's tie-break (the partitioned shard worker's
+    ghost columns).
+    """
+    evals = poly_eval_grid(poly_digits(colors, q, deg), q)
+    hits = collision_counts(csr, evals)
+    if owned is not None:
+        hits = hits[:, :owned]
+    best_x = np.argmin(hits, axis=0)
+    return best_x * q + evals[best_x, np.arange(best_x.shape[0])]
+
+
+#: The per-round fault columns a faulty run records, in row order.
+_FAULT_COLUMNS = ("dropped", "corrupted", "delayed", "duplicated")
+
+
+def _deliver(
+    plan,
+    rnd: int,
+    transmit: np.ndarray,
+    payload: np.ndarray,
+    src_labels: np.ndarray,
+    dst_labels: np.ndarray,
+    pending: dict[int, list[tuple[np.ndarray, np.ndarray]]],
+    delivered: np.ndarray,
+    offset: int,
+    crashed: int,
+) -> dict[str, int]:
+    """One instance's round of faulty delivery, mirroring the reference
+    simulator edge for edge; returns the round's fault counts.
+
+    The arrays are the instance's directed-edge slices: ``transmit``
+    marks the slots whose sender speaks this round, ``payload`` what it
+    sends.  Fates come from the plan's vectorized hash over the label
+    slices (pinned equal to the scalar hash).  Delivered and corrupted
+    payloads are written into ``delivered`` (a view into the round's
+    delivery array); delayed and duplicated copies are queued in
+    ``pending`` under their delivery round, keyed by edge slot plus
+    ``offset`` (the instance's first slot in that array), where a later
+    write overwrites an earlier one like the reference's sender-keyed
+    inbox.  ``crashed`` is the round's count of crashed nodes.
+    """
+    from ..faults.plan import (
+        FATE_CORRUPT,
+        FATE_DELAY,
+        FATE_DELIVER,
+        FATE_DROP,
+        FATE_DUPLICATE,
+    )
+
+    counts = dict.fromkeys(_FAULT_COLUMNS, 0)
+    counts["crashed"] = crashed
+    if not transmit.any():
+        return counts
+    codes, delays = plan.edge_fates(rnd, src_labels, dst_labels)
+    codes = np.where(transmit, codes, -1)
+    for name, code in zip(
+        _FAULT_COLUMNS, (FATE_DROP, FATE_CORRUPT, FATE_DELAY, FATE_DUPLICATE)
+    ):
+        counts[name] = int((codes == code).sum())
+    for code in (FATE_DELAY, FATE_DUPLICATE):
+        idx = np.flatnonzero(codes == code)
+        for d in np.unique(delays[idx]):
+            sel = idx[delays[idx] == d]
+            pending.setdefault(rnd + int(d), []).append(
+                (sel + offset, payload[sel].copy())
+            )
+    now = (codes == FATE_DELIVER) | (codes == FATE_DUPLICATE)
+    delivered[now] = payload[now]
+    corrupt = codes == FATE_CORRUPT
+    if corrupt.any():
+        delivered[corrupt] = plan.corrupt_values(
+            rnd, src_labels[corrupt], dst_labels[corrupt], payload[corrupt]
+        )
+    return counts
+
+
+def _linial_receive(
+    csr: Any,
+    colors: np.ndarray,
+    delivered: np.ndarray,
+    receiving: np.ndarray,
+    q_of: np.ndarray,
+    deg_of: np.ndarray,
+) -> np.ndarray:
+    """The faulty Linial receive: new colors after one round's deliveries.
+
+    A receiving node ``i`` at schedule step ``(q_of[i], deg_of[i])``
+    counts, per evaluation point, the deliveries it got (``delivered`` per
+    directed edge slot, ``-1`` for none) that decode inside its step's
+    ``q^(deg+1)`` domain and agree with its own polynomial, then moves
+    like :func:`linial_step`.  Delivery is per direction, so matches are
+    counted at the receiver only (:func:`~repro.sim.engine.match_counts`).
+    Nodes are processed in ``(q, deg)`` groups; each node's update reads
+    only its own color and its own deliveries, so the grouping never
+    changes a color.  Non-receiving nodes keep theirs.
+    """
+    new_colors = colors.copy()
+    recv = np.flatnonzero(receiving)
+    if not recv.size:
+        return new_colors
+    local = np.full(csr.n, -1, dtype=np.int64)
+    for q, deg in sorted(set(zip(q_of[recv].tolist(), deg_of[recv].tolist()))):
+        group = receiving & (q_of == q) & (deg_of == deg)
+        members = np.flatnonzero(group)
+        g = members.size
+        local[members] = np.arange(g, dtype=np.int64)
+        own_evals = poly_eval_grid(poly_digits(colors[members], q, deg), q)
+        edge_ok = group[csr.indices] & (delivered >= 0) & (delivered < q ** (deg + 1))
+        dst = local[csr.indices[edge_ok]]
+        edge_evals = poly_eval_grid(poly_digits(delivered[edge_ok], q, deg), q)
+        hits = match_counts(edge_evals == own_evals[:, dst], dst, g)
+        best_x = np.argmin(hits, axis=0)  # first occurrence
+        new_colors[members] = best_x * q + own_evals[best_x, np.arange(g)]
+    return new_colors
+
+
+# ----------------------------------------------------------------------
+# batched Linial
 # ----------------------------------------------------------------------
 #: Node-count cap per round-kernel tile.  One monolithic (q, n_total)
 #: evaluation grid falls out of cache once n_total reaches the tens of
@@ -358,63 +548,96 @@ def _node_tiles(
     return tiles
 
 
-def _linial_rounds_batch(
-    batch: BatchCSRGraph, scheds: list, colors: np.ndarray
-) -> np.ndarray:
-    """Run every member's schedule, one global round at a time.
+def _live_members(
+    sub: BatchCSRGraph,
+    unfinished: np.ndarray,
+    rnd: int,
+    budgets: list[int],
+    errors: list[BaseException | None],
+) -> tuple[list[int], list[slice]]:
+    """The members that run round ``rnd``, and the node ranges of those
+    halted at it.
 
-    Members whose current step shares ``(q, deg)`` are processed in
-    cache-sized tiles (:data:`_TILE_NODES`), each tile one grid
-    evaluation + collision count over the concatenated node/edge ranges;
-    members whose schedule is exhausted simply drop out of the round's
-    groups (per-instance termination masks).  Per member, the computed
-    colors match :func:`~repro.sim.vectorized.linial_vectorized` value
-    for value — same digits, same evaluations, same integer bincount
-    collisions, same first-occurrence ``argmin`` tie-break.
+    A member runs while it is not halted, has an ``unfinished`` node, and
+    is within its round budget.  One that has used up its budget is
+    halted here with the reference's :class:`~repro.sim.node.HaltingError`
+    (stored in ``errors``, not raised, so siblings keep running); the
+    caller retires its nodes.
     """
-    if not batch.k:
-        return colors
-    max_len = max(len(s) for s in scheds)
+    live: list[int] = []
+    halted: list[slice] = []
+    for j in range(sub.k):
+        if errors[j] is not None:
+            continue
+        sl = sub.node_slice(j)
+        if not unfinished[sl].any():
+            continue
+        if rnd < budgets[j]:
+            live.append(j)
+            continue
+        nodes = sub.members[j].nodes
+        errors[j] = HaltingError(
+            rounds=rnd,
+            unfinished=[nodes[i] for i in np.flatnonzero(unfinished[sl]).tolist()],
+        )
+        halted.append(sl)
+    return live, halted
+
+
+def _fault_labels(sub: BatchCSRGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node fault-plan labels, and their per-edge source/receiver
+    gathers, over the whole batch."""
+    from ..faults.plan import node_labels_u64
+
+    labels = (
+        np.concatenate([node_labels_u64(m.nodes) for m in sub.members])
+        if sub.k
+        else np.empty(0, dtype=np.uint64)
+    )
+    return labels, labels[sub.src], labels[sub.indices]
+
+
+def _linial_rounds_batch(
+    batch: BatchCSRGraph, scheds: list, colors: np.ndarray, js: list[int]
+) -> np.ndarray:
+    """Run members ``js``' schedules (``scheds[j]`` is member ``j``'s),
+    one global round at a time; returns the colors, which may also have
+    been updated in place.
+
+    Members whose current step shares ``(q, deg)`` take one
+    :func:`linial_step` per cache-sized tile (:data:`_TILE_NODES`) over
+    their concatenated node/edge ranges; members whose schedule is
+    exhausted simply drop out of the round's groups (per-instance
+    termination masks).  The block-diagonal adjacency keeps every count
+    inside its member, so each member's colors are exactly its own run's.
+    """
     node_counts = [m.n for m in batch.members]
     sub_memo: dict[tuple[int, ...], BatchCSRGraph] = {}
-    for r in range(max_len):
+    for r in range(max((len(scheds[j]) for j in js), default=0)):
         groups: dict[tuple[int, int], list[int]] = {}
-        for j, sched in enumerate(scheds):
-            if r < len(sched):
-                step = sched[r]
+        for j in js:
+            if r < len(scheds[j]):
+                step = scheds[j][r]
                 groups.setdefault((step.q, step.deg), []).append(j)
-        for (q, deg), js in sorted(groups.items()):
-            for tile in _node_tiles(js, node_counts):
+        for (q, deg), members in sorted(groups.items()):
+            for tile in _node_tiles(members, node_counts):
                 if len(tile) == batch.k:
-                    evals = poly_eval_grid(poly_digits(colors, q, deg), q)
-                    hits = collision_counts(batch, evals)
-                    best_x = np.argmin(hits, axis=0)
-                    colors = best_x * q + evals[best_x, np.arange(batch.n)]
+                    colors = linial_step(batch, colors, q, deg)
                     continue
                 sub = sub_memo.get(tile)
                 if sub is None:
-                    sub = BatchCSRGraph.from_csrs(
+                    sub = sub_memo[tile] = BatchCSRGraph.from_csrs(
                         [batch.members[j] for j in tile]
                     )
-                    sub_memo[tile] = sub
                 sub_colors = np.concatenate(
                     [colors[batch.node_slice(j)] for j in tile]
                 )
-                evals = poly_eval_grid(poly_digits(sub_colors, q, deg), q)
-                hits = collision_counts(sub, evals)
-                best_x = np.argmin(hits, axis=0)
                 _write_back(
-                    batch,
-                    list(tile),
-                    colors,
-                    best_x * q + evals[best_x, np.arange(sub.n)],
+                    batch, tile, colors, linial_step(sub, sub_colors, q, deg)
                 )
     return colors
 
 
-# ----------------------------------------------------------------------
-# batched Linial (faulty round loop)
-# ----------------------------------------------------------------------
 def _linial_faulty_rounds_batch(
     sub: BatchCSRGraph,
     scheds: list,
@@ -424,178 +647,86 @@ def _linial_faulty_rounds_batch(
     metrics_list: list[RunMetrics],
     recorders: list,
 ) -> tuple[np.ndarray, list[BaseException | None]]:
-    """Batched twin of :func:`repro.sim.vectorized._linial_faulty_rounds`.
+    """The mask-based faulty Linial round loop over a batch.
 
-    All instances share one global round clock (every single-instance run
-    starts at round 0, so global round == per-instance round for as long
-    as the instance is live).  Per round, fates/crashes/corruptions are
-    drawn per instance from that instance's plan over its own label
-    arrays — bit-identical to the single-instance queries — while the
-    delivery buffer, step-skew grouping, and color update run over the
-    whole batch at once.  An instance stops contributing rounds the
-    moment all its nodes finish; an instance that exhausts its plan's
-    round budget is halted with the identical
+    All instances share one global round clock (every instance starts at
+    round 0, so global round == per-instance round for as long as the
+    instance is live).  Per round, crashes and fates are drawn per
+    instance from that instance's plan over its own label arrays
+    (:func:`_deliver`), bit-identical to a run of that instance alone;
+    transmissions come from active, alive senders, deliveries (stale
+    included) to crashed receivers are discarded, and the receive
+    (:func:`_linial_receive`) runs over the whole batch at once.  Nodes
+    advance one schedule step per round they are up, so crash outages
+    leave step *skew* inside an instance.  An instance stops contributing
+    rounds the moment all its nodes finish; one that exhausts its plan's
+    round budget is halted with the reference's
     :class:`~repro.sim.node.HaltingError` (returned per instance, not
     raised, so siblings keep running).
     """
-    from ..faults.plan import (
-        FATE_CORRUPT,
-        FATE_DELAY,
-        FATE_DELIVER,
-        FATE_DROP,
-        FATE_DUPLICATE,
-        node_labels_u64,
-    )
-
     k = sub.k
     n_tot = sub.n
-    labels = np.concatenate([node_labels_u64(m.nodes) for m in sub.members])
-    src_lab = labels[sub.src]
-    dst_lab = labels[sub.indices]
+    labels, src_lab, dst_lab = _fault_labels(sub)
     colors = colors.copy()
     steps = np.zeros(n_tot, dtype=np.int64)
-    totals = np.concatenate(
-        [
-            np.full(m.n, len(s), dtype=np.int64)
-            for m, s in zip(sub.members, scheds)
-        ]
+    totals = np.repeat(
+        np.array([len(s) for s in scheds], dtype=np.int64),
+        np.diff(sub.node_offsets),
     )
     sched_q = [np.array([st.q for st in s], dtype=np.int64) for s in scheds]
     sched_deg = [np.array([st.deg for st in s], dtype=np.int64) for s in scheds]
     budgets = [plans[j].round_budget(len(scheds[j])) for j in range(k)]
-    participating = np.ones(n_tot, dtype=bool)
-    halted = [False] * k
     errors: list[BaseException | None] = [None] * k
     pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     rnd = 0
     while True:
-        live = [
-            j
-            for j in range(k)
-            if not halted[j]
-            and bool((steps[sub.node_slice(j)] < totals[sub.node_slice(j)]).any())
-        ]
+        live, halted = _live_members(sub, steps < totals, rnd, budgets, errors)
+        for sl in halted:
+            steps[sl] = totals[sl]
         if not live:
             break
-        for j in list(live):
-            if rnd >= budgets[j]:
-                sl = sub.node_slice(j)
-                unfinished = [
-                    sub.members[j].nodes[i]
-                    for i in np.nonzero(steps[sl] < totals[sl])[0]
-                ]
-                errors[j] = HaltingError(rounds=rnd, unfinished=unfinished)
-                halted[j] = True
-                participating[sl] = False
-                live.remove(j)
-        if not live:
-            break
-
         alive = np.ones(n_tot, dtype=bool)
         for j in live:
             sl = sub.node_slice(j)
             alive[sl] = ~plans[j].crashed_mask(rnd, labels[sl])
-        active = (steps < totals) & participating
+        active = steps < totals
         transmit = (active & alive)[sub.src]
+        payload = colors[sub.src]
 
         delivered = np.full(sub.num_directed_edges, -1, dtype=np.int64)
         for edge_idx, values in pending.pop(rnd, ()):
             delivered[edge_idx] = values
-        per_counts: dict[int, dict[str, int]] = {}
+        fault_counts: dict[int, dict[str, int]] = {}
         for j in live:
-            sl = sub.node_slice(j)
-            esl = sub.edge_slice(j)
-            counts = dict.fromkeys(
-                ("dropped", "corrupted", "delayed", "duplicated"), 0
+            sl, esl = sub.node_slice(j), sub.edge_slice(j)
+            fault_counts[j] = _deliver(
+                plans[j], rnd, transmit[esl], payload[esl], src_lab[esl],
+                dst_lab[esl], pending, delivered[esl], esl.start,
+                int(sub.members[j].n - alive[sl].sum()),
             )
-            counts["crashed"] = int(sub.members[j].n - alive[sl].sum())
-            tr = transmit[esl]
-            if tr.any():
-                codes, delays = plans[j].edge_fates(
-                    rnd, src_lab[esl], dst_lab[esl]
-                )
-                codes = np.where(tr, codes, -1)
-                payload = colors[sub.src[esl]]
-                counts["dropped"] = int((codes == FATE_DROP).sum())
-                counts["corrupted"] = int((codes == FATE_CORRUPT).sum())
-                counts["delayed"] = int((codes == FATE_DELAY).sum())
-                counts["duplicated"] = int((codes == FATE_DUPLICATE).sum())
-                for code in (FATE_DELAY, FATE_DUPLICATE):
-                    idx = np.nonzero(codes == code)[0]
-                    for d in np.unique(delays[idx]):
-                        sel = idx[delays[idx] == d]
-                        pending.setdefault(rnd + int(d), []).append(
-                            (sel + sub.edge_offsets[j], payload[sel].copy())
-                        )
-                dlv = delivered[esl]  # slice view: writes land in `delivered`
-                now = (codes == FATE_DELIVER) | (codes == FATE_DUPLICATE)
-                dlv[now] = payload[now]
-                corrupt = codes == FATE_CORRUPT
-                if corrupt.any():
-                    dlv[corrupt] = plans[j].corrupt_values(
-                        rnd,
-                        src_lab[esl][corrupt],
-                        dst_lab[esl][corrupt],
-                        payload[corrupt],
-                    )
-            per_counts[j] = counts
         delivered[~alive[sub.indices]] = -1
 
         receiving = active & alive
-        q_arr = np.zeros(n_tot, dtype=np.int64)
-        deg_arr = np.zeros(n_tot, dtype=np.int64)
+        q_of = np.zeros(n_tot, dtype=np.int64)
+        deg_of = np.zeros(n_tot, dtype=np.int64)
         for j in live:
             sl = sub.node_slice(j)
-            ids = np.nonzero(receiving[sl])[0]
-            if ids.size:
-                gids = ids + sl.start
-                st = steps[gids]
-                q_arr[gids] = sched_q[j][st]
-                deg_arr[gids] = sched_deg[j][st]
-        new_colors = colors.copy()
-        recv_idx = np.nonzero(receiving)[0]
-        if recv_idx.size:
-            step_pairs = sorted(
-                set(zip(q_arr[recv_idx].tolist(), deg_arr[recv_idx].tolist()))
-            )
-            for q, deg in step_pairs:
-                group = receiving & (q_arr == q) & (deg_arr == deg)
-                members_idx = np.nonzero(group)[0]
-                g = members_idx.size
-                domain = q ** (deg + 1)
-                local = np.full(n_tot, -1, dtype=np.int64)
-                local[members_idx] = np.arange(g, dtype=np.int64)
-                own_evals = poly_eval_grid(
-                    poly_digits(colors[members_idx], q, deg), q
-                )  # (q, g)
-                edge_ok = (
-                    group[sub.indices] & (delivered >= 0) & (delivered < domain)
-                )
-                hits = np.zeros((q, g), dtype=np.int64)
-                if edge_ok.any():
-                    dst_l = local[sub.indices[edge_ok]]
-                    edge_evals = poly_eval_grid(
-                        poly_digits(delivered[edge_ok], q, deg), q
-                    )
-                    hits = match_counts(edge_evals == own_evals[:, dst_l], dst_l, g)
-                best_x = np.argmin(hits, axis=0)  # first occurrence
-                new_colors[members_idx] = (
-                    best_x * q + own_evals[best_x, np.arange(g)]
-                )
-        colors = new_colors
+            ids = np.flatnonzero(receiving[sl]) + sl.start
+            q_of[ids] = sched_q[j][steps[ids]]
+            deg_of[ids] = sched_deg[j][steps[ids]]
+        colors = _linial_receive(sub, colors, delivered, receiving, q_of, deg_of)
         steps[receiving] += 1
 
         for j in live:
-            sl = sub.node_slice(j)
-            esl = sub.edge_slice(j)
+            sl, esl = sub.node_slice(j), sub.edge_slice(j)
             record_uniform_round(
                 metrics_list[j],
                 recorders[j],
                 int(transmit[esl].sum()),
                 bits_list[j],
                 active=int(active[sl].sum()),
-                faults=per_counts[j],
+                faults=fault_counts[j],
             )
         rnd += 1
     return colors, errors
@@ -611,15 +742,18 @@ def linial_vectorized_batch(
     recorders: Sequence["RunRecorder | None"] | None = None,
     faults: Sequence[Any] | None = None,
     return_exceptions: bool = False,
-    _batch: BatchCSRGraph | None = None,
     _finalize_recorders: bool = True,
 ) -> list:
-    """Batched twin of :func:`repro.sim.vectorized.linial_vectorized`.
+    """Linial's coloring (or the [Kuh09] defective variant) on k graphs.
 
     Returns one ``(ColoringResult, RunMetrics, palette)`` triple per
-    instance, identical to k independent single-instance runs (outputs,
-    palettes, metrics, and — with ``recorders`` — obs rows including
-    fault columns).  ``initial_colors``/``recorders``/``faults`` are
+    instance, identical to k independent runs of
+    :func:`repro.algorithms.linial.run_linial` (outputs, palettes,
+    metrics, and — with ``recorders`` — obs rows including fault
+    columns); :func:`repro.sim.vectorized.linial_vectorized` is the k=1
+    call.  ``graphs`` may hold networkx graphs or frozen
+    :class:`~repro.sim.engine.CSRGraph`\\ s, used as they are.
+    ``initial_colors``/``recorders``/``faults`` are
     per-instance sequences (``None`` entries use the single-instance
     defaults); ``defect`` broadcasts a scalar or takes one value per
     instance.  With ``return_exceptions=True`` an instance that raises
@@ -631,14 +765,14 @@ def linial_vectorized_batch(
     """
     from ..algorithms.linial import defective_schedule, linial_schedule
 
-    k = _batch.k if _batch is not None else len(graphs)
+    k = len(graphs)
     recs = _seq_arg(recorders, k, "recorders")
     plans = _seq_arg(faults, k, "faults")
     inits = _seq_arg(initial_colors, k, "initial_colors")
     defects = _int_list(defect, k, "defect")
 
     with _phase_all(recs, "csr_build"):
-        batch = _batch if _batch is not None else BatchCSRGraph.from_graphs(graphs)
+        batch = BatchCSRGraph.from_graphs(graphs)
 
     sched_memo: dict[tuple[int, int, int], Any] = {}
     scheds: list = []
@@ -670,9 +804,7 @@ def linial_vectorized_batch(
             scheds.append(sched)
             palettes.append(sched[-1].out_colors if sched else m0)
             bits_list.append(int_bits(max(1, m0 - 1)))
-    colors = (
-        np.concatenate(colors_parts) if colors_parts else np.empty(0, np.int64)
-    )
+    colors = _concat(colors_parts or [np.empty(0, np.int64)])
 
     metrics_list = [synthesized_metrics(batch.members[j].n) for j in range(k)]
     errors: list[BaseException | None] = [None] * k
@@ -682,11 +814,7 @@ def linial_vectorized_batch(
 
     if plain:
         with _phase_all([recs[j] for j in plain], "rounds"):
-            sub, sub_colors = _sub_batch(batch, plain, colors)
-            sub_colors = _linial_rounds_batch(
-                sub, [scheds[j] for j in plain], sub_colors
-            )
-            _write_back(batch, plain, colors, sub_colors)
+            colors = _linial_rounds_batch(batch, scheds, colors, plain)
             for j in plain:
                 member = batch.members[j]
                 msgs = member.num_directed_edges
@@ -759,6 +887,73 @@ def _segments(
 # ----------------------------------------------------------------------
 # batched FK24 simple iterative list-defective coloring
 # ----------------------------------------------------------------------
+class _CandidateScan:
+    """FK24's candidate rule over packed lists: each trying node's first
+    list color with at most ``defect`` known takers.
+
+    Built once per run from the ragged lists (``list_indptr`` /
+    ``list_values``, dense node order) and the per-node defects, so the
+    per-round call does only the scan.  Position ``p`` (owned by node
+    ``owner[p]``, carrying color ``list_values[p]``) is viable when at most
+    ``defect`` known neighbors hold that color; the candidate is the first
+    viable position in the node's original list order — exactly the
+    reference's ``for x in L_v`` scan.
+    """
+
+    def __init__(
+        self, list_indptr: np.ndarray, list_values: np.ndarray, defect_arr: np.ndarray
+    ) -> None:
+        sizes = list_indptr[1:] - list_indptr[:-1]
+        self.n = sizes.shape[0]
+        self.values = list_values
+        self.owner = np.repeat(np.arange(self.n, dtype=np.int64), sizes)
+        self.limit = defect_arr[self.owner]
+        self.positions = np.arange(list_values.shape[0], dtype=np.int64)
+        # reduceat quirks: clip trailing starts into range and overwrite
+        # empty segments (their reduceat slot holds a neighbor segment's
+        # element) with the no-candidate sentinel
+        self.starts = np.minimum(list_indptr[:-1], max(list_values.shape[0] - 1, 0))
+        self.empty = sizes == 0
+
+    def __call__(
+        self, counts: np.ndarray, trying: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(has_cand, cand_color)`` under the per-(node, color) knowledge
+        matrix ``counts``; ``cand_color`` is 0 where there is none."""
+        if self.values.shape[0]:
+            viable = counts[self.owner, self.values] <= self.limit
+            first = np.minimum.reduceat(
+                np.where(viable, self.positions, _NO_POS), self.starts
+            )
+            first[self.empty] = _NO_POS
+        else:
+            first = np.full(self.n, _NO_POS, dtype=np.int64)
+        has_cand = trying & (first < _NO_POS)
+        cand_color = np.zeros(self.n, dtype=np.int64)
+        cand_color[has_cand] = self.values[first[has_cand]]
+        return has_cand, cand_color
+
+
+def adoption_orientation(csr: CSRGraph, adopted: np.ndarray) -> EdgeOrientation:
+    """Every edge oriented from its later adopter to its earlier one, ties
+    toward the larger label, from CSR arrays.
+
+    ``adopted`` holds each dense node's adoption round.  The arc set equals
+    :func:`~repro.core.coloring.orientation_from_priority` over the
+    label-keyed adoption rounds: dense order is sorted label order, so for
+    an edge ``u < w`` the priority ``(adopted, node)`` of ``u`` is the
+    larger exactly when ``adopted[u] > adopted[w]``.
+    """
+    fwd = csr.src < csr.indices
+    u, w = csr.src[fwd], csr.indices[fwd]
+    later = adopted[u] > adopted[w]
+    # the graph's own label objects, shared by the arcs
+    labels = np.fromiter(csr.nodes, dtype=object, count=csr.n)
+    tails = labels[np.where(later, u, w)].tolist()
+    heads = labels[np.where(later, w, u)].tolist()
+    return EdgeOrientation(set(zip(tails, heads)))
+
+
 def _fk24_rounds_batch(
     sub: BatchCSRGraph,
     list_indptr: np.ndarray,
@@ -770,64 +965,54 @@ def _fk24_rounds_batch(
     metrics_list: list[RunMetrics],
     recorders: list,
 ) -> tuple[np.ndarray, np.ndarray, list[BaseException | None]]:
-    """Batched twin of :func:`repro.sim.vectorized._fk24_rounds`.
+    """The fault-free FK24 round loop over a batch.
 
-    All instances share one global round clock (every single-instance
-    run starts at round 0), and the block-diagonal adjacency keeps the
-    try/took exchanges instance-local by construction.  FK24's per-round
-    message and active counts *vary* as nodes adopt and halt, so — unlike
-    the schedule-driven Linial batch — accounting is demultiplexed per
-    live instance inside the loop, not replayed afterwards.  An instance
-    whose (invalid) instance idles past its round budget is halted with
-    the identical :class:`~repro.sim.node.HaltingError`, returned per
-    instance so siblings keep running.
+    Per-node knowledge is a ``(n, space)`` counts matrix updated
+    incrementally — valid because fault-free every adopter announces its
+    color exactly once with guaranteed delivery, so per-sender knowledge
+    equals the delivered-announcement multiset.  Candidate selection uses
+    the counts as of the *end of the previous round* (the reference picks
+    in ``send``); adoption re-checks against counts updated with this
+    round's announcements plus same-round smaller-label rivals trying the
+    same color (dense index order equals sorted label order, so the index
+    comparison is the reference's ``u < view.id``).
+
+    All instances share one global round clock (every instance starts at
+    round 0), and the block-diagonal adjacency keeps the try/took
+    exchanges instance-local by construction.  FK24's per-round message
+    and active counts *vary* as nodes adopt and halt, so accounting is
+    demultiplexed per live instance inside the loop.  An instance that
+    idles past its round budget is halted with the reference's
+    :class:`~repro.sim.node.HaltingError`, returned per instance so
+    siblings keep running.
     """
-    from .vectorized import _fk24_candidates
-
-    k = sub.k
     n_tot = sub.n
     degrees = np.diff(sub.indptr)
-    status = np.zeros(n_tot, dtype=np.int64)
+    status = np.zeros(n_tot, dtype=np.int64)  # 0 trying, 1 announcing, 2 done
     colors = np.full(n_tot, -1, dtype=np.int64)
     adopted = np.full(n_tot, -1, dtype=np.int64)
     counts = np.zeros(
         (n_tot, max(1, int(space_arr.max()) if n_tot else 1)), dtype=np.int64
     )
-    owner = np.repeat(np.arange(n_tot, dtype=np.int64), np.diff(list_indptr))
+    candidates = _CandidateScan(list_indptr, list_values, defect_arr)
     idx = np.arange(n_tot, dtype=np.int64)
-    participating = np.ones(n_tot, dtype=bool)
-    halted = [False] * k
-    errors: list[BaseException | None] = [None] * k
+    fwd = sub.src < sub.indices
+    errors: list[BaseException | None] = [None] * sub.k
 
     rnd = 0
     while True:
-        live = [
-            j
-            for j in range(k)
-            if not halted[j] and bool((status[sub.node_slice(j)] < 2).any())
-        ]
+        active = status < 2
+        live, halted = _live_members(sub, active, rnd, budgets, errors)
+        for sl in halted:
+            status[sl] = 2
+            active[sl] = False
         if not live:
             break
-        for j in list(live):
-            if rnd >= budgets[j]:
-                sl = sub.node_slice(j)
-                unfinished = [
-                    sub.members[j].nodes[i]
-                    for i in np.nonzero(status[sl] < 2)[0]
-                ]
-                errors[j] = HaltingError(rounds=rnd, unfinished=unfinished)
-                halted[j] = True
-                participating[sl] = False
-                live.remove(j)
-        if not live:
-            break
-        trying = (status == 0) & participating
-        announcing = (status == 1) & participating
-        active = (status < 2) & participating
-        has_cand, cand_color = _fk24_candidates(
-            counts, owner, list_indptr, list_values, defect_arr, trying
-        )
-        sending = has_cand | announcing
+        trying = status == 0
+        announcing = status == 1
+        has_cand, cand_color = candidates(counts, trying)
+        sent = np.where(has_cand | announcing, degrees, 0)
+        # this round's announcements update everyone's knowledge first
         took_edge = announcing[sub.src]
         if took_edge.any():
             np.add.at(
@@ -835,15 +1020,15 @@ def _fk24_rounds_batch(
                 (sub.indices[took_edge], colors[sub.src[took_edge]]),
                 1,
             )
-        taken = np.zeros(n_tot, dtype=np.int64)
-        taken[has_cand] = counts[idx[has_cand], cand_color[has_cand]]
         conflict = (
-            has_cand[sub.src]
+            fwd
+            & has_cand[sub.src]
             & has_cand[sub.indices]
-            & (sub.src < sub.indices)
             & (cand_color[sub.src] == cand_color[sub.indices])
         )
         stronger = np.bincount(sub.indices[conflict], minlength=n_tot)
+        # a non-candidate's cand_color is 0, a valid column it never adopts
+        taken = counts[idx, cand_color]
         adopt = has_cand & (taken + stronger <= defect_arr)
         status[announcing] = 2
         status[adopt] = 1
@@ -854,7 +1039,7 @@ def _fk24_rounds_batch(
             record_uniform_round(
                 metrics_list[j],
                 recorders[j],
-                int(degrees[sl][sending[sl]].sum()),
+                int(sent[sl].sum()),
                 bits_list[j],
                 active=int(active[sl].sum()),
             )
@@ -874,135 +1059,78 @@ def _fk24_faulty_rounds_batch(
     metrics_list: list[RunMetrics],
     recorders: list,
 ) -> tuple[np.ndarray, np.ndarray, list[BaseException | None]]:
-    """Batched twin of :func:`repro.sim.vectorized._fk24_faulty_rounds`.
+    """The mask-based faulty FK24 round loop over a batch.
 
-    Per round, fates/crashes/corruptions are drawn per instance from
-    that instance's plan over its own label and edge slices —
-    bit-identical to the single-instance queries — while candidate
-    selection, delivery decoding, and the adoption rule run over the
-    whole batch at once.  ``space`` varies per instance, so payload
-    encoding and the ``[0, 2 * space)`` decode window use per-node /
-    per-edge space arrays.
+    Delivery is :func:`_deliver`'s, per instance and from that instance's
+    own plan, as in :func:`_linial_faulty_rounds_batch`: transmissions
+    come from active, alive senders and deliveries to crashed receivers
+    are discarded.  Knowledge is per directed edge (``know[e]`` = last
+    decoded ``took`` color on ``e``) because under corruption a sender's
+    announcement can differ per round — the counts matrix is adjusted
+    incrementally as entries change.  Payloads encode ``tag * space +
+    color``; decoders discard anything outside ``[0, 2 * space)`` exactly
+    like the reference's inbox filter.  ``space`` varies per instance, so
+    the encoding and the decode window use per-node / per-edge space
+    arrays.
     """
-    from ..faults.plan import (
-        FATE_CORRUPT,
-        FATE_DELAY,
-        FATE_DELIVER,
-        FATE_DROP,
-        FATE_DUPLICATE,
-        node_labels_u64,
-    )
-    from .vectorized import _fk24_candidates
-
-    k = sub.k
     n_tot = sub.n
-    num_edges = sub.num_directed_edges
-    labels = np.concatenate(
-        [node_labels_u64(m.nodes) for m in sub.members]
-    ) if k else np.empty(0, dtype=np.uint64)
-    src_lab = labels[sub.src]
-    dst_lab = labels[sub.indices]
+    labels, src_lab, dst_lab = _fault_labels(sub)
+    space_src = space_arr[sub.src]
     space_dst = space_arr[sub.indices]
-    degrees = np.diff(sub.indptr)
     status = np.zeros(n_tot, dtype=np.int64)
     colors = np.full(n_tot, -1, dtype=np.int64)
     adopted = np.full(n_tot, -1, dtype=np.int64)
     counts2d = np.zeros(
         (n_tot, max(1, int(space_arr.max()) if n_tot else 1)), dtype=np.int64
     )
-    know = np.full(num_edges, -1, dtype=np.int64)
-    owner = np.repeat(np.arange(n_tot, dtype=np.int64), np.diff(list_indptr))
+    know = np.full(sub.num_directed_edges, -1, dtype=np.int64)
+    candidates = _CandidateScan(list_indptr, list_values, defect_arr)
     idx = np.arange(n_tot, dtype=np.int64)
-    participating = np.ones(n_tot, dtype=bool)
-    halted = [False] * k
-    errors: list[BaseException | None] = [None] * k
+    fwd = sub.src < sub.indices
+    errors: list[BaseException | None] = [None] * sub.k
     pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     rnd = 0
     while True:
-        live = [
-            j
-            for j in range(k)
-            if not halted[j] and bool((status[sub.node_slice(j)] < 2).any())
-        ]
+        active = status < 2
+        live, halted = _live_members(sub, active, rnd, budgets, errors)
+        for sl in halted:
+            status[sl] = 2
+            active[sl] = False
         if not live:
             break
-        for j in list(live):
-            if rnd >= budgets[j]:
-                sl = sub.node_slice(j)
-                unfinished = [
-                    sub.members[j].nodes[i]
-                    for i in np.nonzero(status[sl] < 2)[0]
-                ]
-                errors[j] = HaltingError(rounds=rnd, unfinished=unfinished)
-                halted[j] = True
-                participating[sl] = False
-                live.remove(j)
-        if not live:
-            break
-
         alive = np.ones(n_tot, dtype=bool)
         for j in live:
             sl = sub.node_slice(j)
             alive[sl] = ~plans[j].crashed_mask(rnd, labels[sl])
-        trying = (status == 0) & participating
-        announcing = (status == 1) & participating
-        active = (status < 2) & participating
-        has_cand, cand_color = _fk24_candidates(
-            counts2d, owner, list_indptr, list_values, defect_arr, trying
-        )
+        trying = status == 0
+        announcing = status == 1
+        has_cand, cand_color = candidates(counts2d, trying)
         sending = (has_cand | announcing) & alive
         transmit = sending[sub.src]
+        payload = np.where(
+            announcing[sub.src],
+            space_src + colors[sub.src],
+            cand_color[sub.src],
+        )
 
-        delivered = np.full(num_edges, -1, dtype=np.int64)
+        delivered = np.full(sub.num_directed_edges, -1, dtype=np.int64)
         for edge_idx, values in pending.pop(rnd, ()):
             delivered[edge_idx] = values
-        per_counts: dict[int, dict[str, int]] = {}
+        fault_counts: dict[int, dict[str, int]] = {}
         for j in live:
-            sl = sub.node_slice(j)
-            esl = sub.edge_slice(j)
-            fcounts = dict.fromkeys(
-                ("dropped", "corrupted", "delayed", "duplicated"), 0
+            sl, esl = sub.node_slice(j), sub.edge_slice(j)
+            fault_counts[j] = _deliver(
+                plans[j], rnd, transmit[esl], payload[esl], src_lab[esl],
+                dst_lab[esl], pending, delivered[esl], esl.start,
+                int(sub.members[j].n - alive[sl].sum()),
             )
-            fcounts["crashed"] = int(sub.members[j].n - alive[sl].sum())
-            tr = transmit[esl]
-            if tr.any():
-                codes, delays = plans[j].edge_fates(
-                    rnd, src_lab[esl], dst_lab[esl]
-                )
-                codes = np.where(tr, codes, -1)
-                payload = np.where(
-                    announcing[sub.src[esl]],
-                    space_arr[sub.src[esl]] + colors[sub.src[esl]],
-                    cand_color[sub.src[esl]],
-                )
-                fcounts["dropped"] = int((codes == FATE_DROP).sum())
-                fcounts["corrupted"] = int((codes == FATE_CORRUPT).sum())
-                fcounts["delayed"] = int((codes == FATE_DELAY).sum())
-                fcounts["duplicated"] = int((codes == FATE_DUPLICATE).sum())
-                for code in (FATE_DELAY, FATE_DUPLICATE):
-                    eidx = np.nonzero(codes == code)[0]
-                    for d in np.unique(delays[eidx]):
-                        sel = eidx[delays[eidx] == d]
-                        pending.setdefault(rnd + int(d), []).append(
-                            (sel + sub.edge_offsets[j], payload[sel].copy())
-                        )
-                dlv = delivered[esl]  # slice view: writes land in `delivered`
-                now = (codes == FATE_DELIVER) | (codes == FATE_DUPLICATE)
-                dlv[now] = payload[now]
-                corrupt = codes == FATE_CORRUPT
-                if corrupt.any():
-                    dlv[corrupt] = plans[j].corrupt_values(
-                        rnd,
-                        src_lab[esl][corrupt],
-                        dst_lab[esl][corrupt],
-                        payload[corrupt],
-                    )
-            per_counts[j] = fcounts
         delivered[~alive[sub.indices]] = -1
 
+        # decode: know updates for this round's took deliveries, with the
+        # counts matrix adjusted where an edge's knowledge changed
         took = (delivered >= space_dst) & (delivered < 2 * space_dst)
-        tk = np.nonzero(took)[0]
+        tk = np.flatnonzero(took)
         if tk.size:
             newv = delivered[tk] - space_dst[tk]
             oldv = know[tk]
@@ -1015,33 +1143,29 @@ def _fk24_faulty_rounds_batch(
                 np.add.at(counts2d, (sub.indices[tk], newv), 1)
                 know[tk] = newv
         is_try = (delivered >= 0) & (delivered < space_dst)
-        taken = np.zeros(n_tot, dtype=np.int64)
         receiver_cand = has_cand & alive
-        taken[receiver_cand] = counts2d[
-            idx[receiver_cand], cand_color[receiver_cand]
-        ]
         conflict = (
-            is_try
+            fwd
+            & is_try
             & receiver_cand[sub.indices]
-            & (sub.src < sub.indices)
             & (delivered == cand_color[sub.indices])
         )
         stronger = np.bincount(sub.indices[conflict], minlength=n_tot)
+        taken = counts2d[idx, cand_color]
         adopt = receiver_cand & (taken + stronger <= defect_arr)
         status[announcing & alive] = 2
         status[adopt] = 1
         colors[adopt] = cand_color[adopt]
         adopted[adopt] = rnd
         for j in live:
-            sl = sub.node_slice(j)
-            esl = sub.edge_slice(j)
+            sl, esl = sub.node_slice(j), sub.edge_slice(j)
             record_uniform_round(
                 metrics_list[j],
                 recorders[j],
                 int(transmit[esl].sum()),
                 bits_list[j],
                 active=int(active[sl].sum()),
-                faults=per_counts[j],
+                faults=fault_counts[j],
             )
         rnd += 1
     return colors, adopted, errors
@@ -1058,12 +1182,16 @@ def fk24_vectorized_batch(
     _finalize_recorders: bool = True,
     adoption_outs: Sequence[dict | None] | None = None,
 ) -> list:
-    """Batched twin of :func:`repro.sim.vectorized.fk24_vectorized`.
+    """The [FK24] list-defective coloring on k graphs.
 
     Returns one ``(ColoringResult, RunMetrics, palette)`` triple per
     instance — including the later-to-earlier adoption orientation on
-    each result — identical to k independent single-instance runs
-    (outputs, palettes, metrics, obs rows incl. fault columns).
+    each result (:func:`adoption_orientation`) — identical to k
+    independent runs of :func:`repro.algorithms.fk24.run_fk24` (outputs,
+    palettes, metrics, obs rows incl. fault columns);
+    :func:`repro.sim.vectorized.fk24_vectorized` is the k=1 call.
+    ``graphs`` may hold networkx graphs or frozen
+    :class:`~repro.sim.engine.CSRGraph`\\ s, used as they are.
     ``lists``/``recorders``/``faults``/``adoption_outs`` are per-instance
     sequences (``None`` entries use single-instance defaults);
     ``space_size``/``defect`` broadcast scalars or take one value per
@@ -1072,7 +1200,6 @@ def fk24_vectorized_batch(
     :class:`~repro.sim.node.HaltingError` in place, siblings unaffected.
     """
     from ..algorithms.fk24 import fk24_lists, fk24_round_budget
-    from .vectorized import adoption_orientation
 
     gs = list(graphs)
     k = len(gs)
@@ -1104,7 +1231,7 @@ def fk24_vectorized_batch(
             member = batch.members[j]
             lst = lists_seq[j]
             if lst is None:
-                lst, built_space = fk24_lists(gs[j], defects[j])
+                lst, built_space = fk24_lists(member, defects[j])
                 if spaces[j] is None:
                     spaces[j] = built_space
             per_node = [tuple(lst[v]) for v in member.nodes]
@@ -1118,74 +1245,43 @@ def fk24_vectorized_batch(
             )
             bits_list.append(int_bits(max(1, 2 * spaces[j] - 1)))
 
-    def _assemble(js: list[int]) -> tuple[
-        BatchCSRGraph, np.ndarray, np.ndarray, np.ndarray, np.ndarray
-    ]:
-        """Sub-batch over members ``js`` plus its ragged/space/defect
-        arrays (concatenated in ``js`` order, matching the sub CSR)."""
-        if len(js) == k:
-            sub = batch
-        else:
-            sub = BatchCSRGraph.from_csrs([batch.members[j] for j in js])
-        indptr_parts = [np.zeros(1, dtype=np.int64)]
-        value_parts: list[np.ndarray] = []
-        off = 0
-        for j in js:
-            ip, vals = ragged[j]
-            indptr_parts.append(ip[1:] + off)
-            value_parts.append(vals)
-            off += int(vals.shape[0])
-        list_indptr = np.concatenate(indptr_parts)
-        list_values = (
-            np.concatenate(value_parts)
-            if value_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        space_arr = np.concatenate(
-            [np.full(batch.members[j].n, spaces[j], dtype=np.int64) for j in js]
-        ) if js else np.empty(0, dtype=np.int64)
-        defect_arr = np.concatenate(
-            [np.full(batch.members[j].n, defects[j], dtype=np.int64) for j in js]
-        ) if js else np.empty(0, dtype=np.int64)
-        return sub, list_indptr, list_values, space_arr, defect_arr
-
     metrics_list = [synthesized_metrics(batch.members[j].n) for j in range(k)]
     colors = np.full(batch.n, -1, dtype=np.int64)
     adopted = np.full(batch.n, -1, dtype=np.int64)
     errors: list[BaseException | None] = [None] * k
 
+    def run(js: list[int], rounds, *plan_arg) -> None:
+        """Run members ``js`` through one round loop, packed in ``js``
+        order with their ragged lists and per-node space/defect arrays."""
+        sub = batch if len(js) == k else BatchCSRGraph.from_csrs(
+            [batch.members[j] for j in js]
+        )
+        starts = accumulate((len(ragged[j][1]) for j in js), initial=0)
+        sizes = [batch.members[j].n for j in js]
+        with _phase_all([recs[j] for j in js], "rounds"):
+            sub_colors, sub_adopted, sub_errors = rounds(
+                sub,
+                _join_indptrs([ragged[j][0] for j in js], starts),
+                _concat([ragged[j][1] for j in js]),
+                np.repeat(np.array([spaces[j] for j in js], dtype=np.int64), sizes),
+                np.repeat(np.array([defects[j] for j in js], dtype=np.int64), sizes),
+                [budgets[j] for j in js],
+                [bits_list[j] for j in js],
+                *plan_arg,
+                [metrics_list[j] for j in js],
+                [recs[j] for j in js],
+            )
+            _write_back(batch, js, colors, sub_colors)
+            _write_back(batch, js, adopted, sub_adopted)
+        for j, error in zip(js, sub_errors):
+            errors[j] = error
+
     plain = [j for j in range(k) if plans[j] is None]
     faulty = [j for j in range(k) if plans[j] is not None]
-
     if plain:
-        with _phase_all([recs[j] for j in plain], "rounds"):
-            sub, li, lv, sa, da = _assemble(plain)
-            sub_colors, sub_adopted, sub_errors = _fk24_rounds_batch(
-                sub, li, lv, sa, da,
-                [budgets[j] for j in plain],
-                [bits_list[j] for j in plain],
-                [metrics_list[j] for j in plain],
-                [recs[j] for j in plain],
-            )
-            _write_back(batch, plain, colors, sub_colors)
-            _write_back(batch, plain, adopted, sub_adopted)
-        for pos, j in enumerate(plain):
-            errors[j] = sub_errors[pos]
+        run(plain, _fk24_rounds_batch)
     if faulty:
-        with _phase_all([recs[j] for j in faulty], "rounds"):
-            sub, li, lv, sa, da = _assemble(faulty)
-            sub_colors, sub_adopted, sub_errors = _fk24_faulty_rounds_batch(
-                sub, li, lv, sa, da,
-                [budgets[j] for j in faulty],
-                [bits_list[j] for j in faulty],
-                [plans[j] for j in faulty],
-                [metrics_list[j] for j in faulty],
-                [recs[j] for j in faulty],
-            )
-            _write_back(batch, faulty, colors, sub_colors)
-            _write_back(batch, faulty, adopted, sub_adopted)
-        for pos, j in enumerate(faulty):
-            errors[j] = sub_errors[pos]
+        run(faulty, _fk24_faulty_rounds_batch, [plans[j] for j in faulty])
 
     results: list = [None] * k
     for j in range(k):
@@ -1283,7 +1379,7 @@ def greedy_list_vectorized_batch(
             if not wave:
                 continue
             wave_nodes = np.array(
-                [batch.node_offsets[p] + t for p in wave], dtype=np.int64
+                [batch.node_slice(p).start + t for p in wave], dtype=np.int64
             )
             nstarts = batch.indptr[wave_nodes]
             ncounts = batch.indptr[wave_nodes + 1] - nstarts
@@ -1297,16 +1393,16 @@ def greedy_list_vectorized_batch(
             lpos, lseg, lwithin = _segments(lstarts, lcounts)
             cand = list_values[lpos]
             free = ~np.isin(lseg * space + cand, taken_keys)
-            pos_masked = np.where(free, lwithin, _NO_PICK)
+            pos_masked = np.where(free, lwithin, _NO_POS)
             loffs = np.zeros(len(wave), dtype=np.int64)
             np.cumsum(lcounts[:-1], out=loffs[1:])
-            firsts = np.full(len(wave), _NO_PICK, dtype=np.int64)
+            firsts = np.full(len(wave), _NO_POS, dtype=np.int64)
             nonempty = lcounts > 0
             if pos_masked.size:
                 firsts[nonempty] = np.minimum.reduceat(
                     pos_masked, loffs[nonempty]
                 )
-            good = firsts < _NO_PICK
+            good = firsts < _NO_POS
             if good.any():
                 gsel = np.nonzero(good)[0]
                 final[wave_nodes[gsel]] = list_values[
@@ -1362,11 +1458,10 @@ def defective_split_vectorized_batch(
         with _phase_all(valid_recs, "csr_build"):
             batch = BatchCSRGraph.from_graphs([graphs[j] for j in valid])
         inner = linial_vectorized_batch(
-            [graphs[j] for j in valid],
+            batch.members,
             defect=[defects[j] for j in valid],
             recorders=valid_recs,
             return_exceptions=True,
-            _batch=batch,
             _finalize_recorders=False,
         )
         if validate:
@@ -1538,6 +1633,8 @@ class BatchInstance:
             self._labels = node_labels_u64(csr.nodes)
             self._src_labels = self._labels[csr.src]
             self._dst_labels = self._labels[csr.indices]
+            self._sched_q = np.array([st.q for st in sched], dtype=np.int64)
+            self._sched_deg = np.array([st.deg for st in sched], dtype=np.int64)
             self._budget = plan.round_budget(len(sched))
             self._pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
             self._rnd = 0
@@ -1597,93 +1694,42 @@ class BatchInstance:
     def _faulty_round(self) -> None:
         """One faulty round on this instance's *local* clock.
 
-        A verbatim single-iteration transliteration of
-        :func:`repro.sim.vectorized._linial_faulty_rounds` — plan queries
-        use the instance's own round counter and label arrays, so an
-        instance admitted at any global round replays exactly the
+        The round of :func:`_linial_faulty_rounds_batch` for one instance:
+        the same :func:`_deliver` and :func:`_linial_receive`, with plan
+        queries on the instance's own round counter and label arrays, so
+        an instance admitted at any global round replays exactly the
         adversary its standalone run would, and the per-round fault
         columns stay the cross-engine invariant.
         """
-        from ..faults.plan import (
-            FATE_CORRUPT,
-            FATE_DELAY,
-            FATE_DELIVER,
-            FATE_DROP,
-            FATE_DUPLICATE,
-        )
-
         csr, plan = self.csr, self.plan
-        n = csr.n
         total = len(self.sched)
         rnd = self._rnd
         if rnd >= self._budget:
             unfinished = [
-                csr.nodes[i] for i in np.nonzero(self._steps < total)[0]
+                csr.nodes[i] for i in np.flatnonzero(self._steps < total)
             ]
             self.error = HaltingError(rounds=rnd, unfinished=unfinished)
             return
         alive = ~plan.crashed_mask(rnd, self._labels)
         active = self._steps < total
         transmit = (active & alive)[csr.src]
-        counts = dict.fromkeys(
-            ("dropped", "corrupted", "delayed", "duplicated"), 0
-        )
-        counts["crashed"] = int(n - alive.sum())
 
         delivered = np.full(csr.num_directed_edges, -1, dtype=np.int64)
         for edge_idx, values in self._pending.pop(rnd, ()):
             delivered[edge_idx] = values
-        if transmit.any():
-            codes, delays = plan.edge_fates(
-                rnd, self._src_labels, self._dst_labels
-            )
-            codes = np.where(transmit, codes, -1)
-            payload = self.colors[csr.src]
-            counts["dropped"] = int((codes == FATE_DROP).sum())
-            counts["corrupted"] = int((codes == FATE_CORRUPT).sum())
-            counts["delayed"] = int((codes == FATE_DELAY).sum())
-            counts["duplicated"] = int((codes == FATE_DUPLICATE).sum())
-            for code in (FATE_DELAY, FATE_DUPLICATE):
-                idx = np.nonzero(codes == code)[0]
-                for d in np.unique(delays[idx]):
-                    sel = idx[delays[idx] == d]
-                    self._pending.setdefault(rnd + int(d), []).append(
-                        (sel, payload[sel].copy())
-                    )
-            now = (codes == FATE_DELIVER) | (codes == FATE_DUPLICATE)
-            delivered[now] = payload[now]
-            corrupt = codes == FATE_CORRUPT
-            if corrupt.any():
-                delivered[corrupt] = plan.corrupt_values(
-                    rnd,
-                    self._src_labels[corrupt],
-                    self._dst_labels[corrupt],
-                    payload[corrupt],
-                )
+        counts = _deliver(
+            plan, rnd, transmit, self.colors[csr.src], self._src_labels,
+            self._dst_labels, self._pending, delivered, 0,
+            int(csr.n - alive.sum()),
+        )
         delivered[~alive[csr.indices]] = -1
 
         receiving = active & alive
-        new_colors = self.colors.copy()
-        for s in np.unique(self._steps[receiving]):
-            step = self.sched[s]
-            q, deg = step.q, step.deg
-            domain = q ** (deg + 1)
-            group = receiving & (self._steps == s)
-            own_evals = poly_eval_grid(poly_digits(self.colors, q, deg), q)
-            edge_ok = (
-                group[csr.indices] & (delivered >= 0) & (delivered < domain)
-            )
-            hits = np.zeros((q, n), dtype=np.int64)
-            if edge_ok.any():
-                edge_dst = csr.indices[edge_ok]
-                edge_evals = poly_eval_grid(
-                    poly_digits(delivered[edge_ok], q, deg), q
-                )
-                hits = match_counts(edge_evals == own_evals[:, edge_dst], edge_dst, n)
-            members = np.nonzero(group)[0]
-            best_x = np.argmin(hits[:, members], axis=0)
-            new_colors[members] = best_x * q + own_evals[best_x, members]
-        self.colors = new_colors
+        steps = np.minimum(self._steps, total - 1)
+        self.colors = _linial_receive(
+            csr, self.colors, delivered, receiving,
+            self._sched_q[steps], self._sched_deg[steps],
+        )
         self._steps[receiving] += 1
 
         record_uniform_round(
@@ -1784,9 +1830,9 @@ class LinialBatchStepper:
     literal here, a finished instance simply leaves the membership).
 
     Each round, live fault-free instances are grouped by their current
-    schedule step's ``(q, deg)`` and each group runs through the shared
-    grid-evaluation/collision kernels in cache-sized tiles
-    (:data:`_TILE_NODES`), exactly like :func:`_linial_rounds_batch`;
+    schedule step's ``(q, deg)`` and each group takes one
+    :func:`linial_step` per cache-sized tile (:data:`_TILE_NODES`),
+    exactly like :func:`_linial_rounds_batch`;
     faulty instances run their own local-clock round via
     :meth:`BatchInstance._faulty_round`.  Because no kernel ever reads
     across an instance boundary, every instance's final triple is
@@ -1888,22 +1934,17 @@ class LinialBatchStepper:
         for (q, deg), members in sorted(groups.items()):
             node_counts = [m.csr.n for m in members]
             for tile in _node_tiles(list(range(len(members))), node_counts):
-                tile_members = [members[p] for p in tile]
-                if len(tile_members) == 1:
-                    m = tile_members[0]
-                    evals = poly_eval_grid(poly_digits(m.colors, q, deg), q)
-                    hits = collision_counts(m.csr, evals)
-                    best_x = np.argmin(hits, axis=0)
-                    m.colors = best_x * q + evals[best_x, np.arange(m.csr.n)]
+                packed = [members[p] for p in tile]
+                if len(packed) == 1:
+                    m = packed[0]
+                    m.colors = linial_step(m.csr, m.colors, q, deg)
                     continue
-                sub = BatchCSRGraph.from_csrs([m.csr for m in tile_members])
-                colors = np.concatenate([m.colors for m in tile_members])
-                evals = poly_eval_grid(poly_digits(colors, q, deg), q)
-                hits = collision_counts(sub, evals)
-                best_x = np.argmin(hits, axis=0)
-                colors = best_x * q + evals[best_x, np.arange(sub.n)]
-                for j, m in enumerate(tile_members):
-                    m.colors = colors[sub.node_slice(j)].copy()
+                sub = BatchCSRGraph.from_csrs([m.csr for m in packed])
+                colors = linial_step(
+                    sub, np.concatenate([m.colors for m in packed]), q, deg
+                )
+                for m, part in zip(packed, sub.split(colors)):
+                    m.colors = part
         for inst in plain:
             record_uniform_round(
                 inst.metrics,

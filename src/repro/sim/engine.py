@@ -42,11 +42,12 @@ tests compare its output node for node (and its synthesized metrics
 counter for counter) against the reference simulator on a shared graph
 set — see ``tests/test_vectorized.py`` and ``tests/test_engine.py``.
 
-Directed graphs and multigraphs are rejected explicitly: a ``nx.DiGraph``
-would silently double-direct in the CSR build (each arc would also be
-mirrored) and a multigraph's parallel edges have no place in a simple
-adjacency, so :meth:`CSRGraph.from_networkx` raises ``ValueError``
-instead.
+Directed graphs, multigraphs and self-loops are rejected explicitly: a
+``nx.DiGraph`` would silently double-direct in the CSR build (each arc
+would also be mirrored), and a multigraph's parallel edges and a
+self-loop have no place in the simple graphs the paper colors, so
+:meth:`CSRGraph.from_networkx` and :meth:`CSRGraph.from_edges` raise
+``ValueError`` instead.
 """
 
 from __future__ import annotations
@@ -79,6 +80,14 @@ def _adjacency(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
+#: The CSR boundary's self-loop error, formatted with the node's label.
+_SELF_LOOP = (
+    "CSRGraph (and the vectorized fast paths) support simple graphs only; "
+    "got a self-loop at node {!r}. Remove it explicitly "
+    "(graph.remove_edges_from(nx.selfloop_edges(graph))) if that is intended."
+)
+
+
 def _networkx_edges(
     graphs: Sequence[nx.Graph],
 ) -> tuple[list[tuple], list[dict[Any, int]], np.ndarray, np.ndarray]:
@@ -93,8 +102,9 @@ def _networkx_edges(
     The rows are read off ``graph.adjacency()`` with one ``np.fromiter``
     per array: ``graph.edges`` lists, node by node in insertion order,
     the neighbors not met earlier in that order, so one mask (keep a
-    neighbor whose insertion position is at least the node's own)
-    recovers its rows, self-loops once, with no per-edge Python.
+    neighbor whose insertion position is after the node's own) recovers
+    its rows with no per-edge Python.  Raises ``ValueError`` for a
+    directed graph, a multigraph or a self-loop.
     """
     nodes_list: list[tuple] = []
     index_list: list[dict[Any, int]] = []
@@ -147,8 +157,14 @@ def _networkx_edges(
     nbrs += shift[src_pos]
     position = np.empty(n, dtype=np.int64)
     position[dense] = np.arange(n, dtype=np.int64)
-    keep = position[nbrs] >= src_pos
+    keep = position[nbrs] > src_pos
     edges = np.column_stack([dense[src_pos[keep]], nbrs[keep]])
+    # every edge is listed from both ends and kept once; a self-loop is
+    # listed once and never kept
+    if 2 * edges.shape[0] != nbrs.shape[0]:
+        node = int(nbrs[np.flatnonzero(dense[src_pos] == nbrs)[0]])
+        j = int(np.searchsorted(node_offsets, node, side="right")) - 1
+        raise ValueError(_SELF_LOOP.format(nodes_list[j][node - node_offsets[j]]))
     return nodes_list, index_list, node_offsets, edges
 
 
@@ -171,7 +187,8 @@ class CSRGraph:
     src:
         The expanded row index: ``src[k]`` is the source of directed edge
         ``k`` (i.e. ``indices[k]`` is a neighbor of ``src[k]``).  Useful
-        for ``np.bincount`` scatter patterns over directed edges.
+        for ``np.bincount`` scatter patterns over directed edges.  Derived
+        from ``indptr`` unless the constructor is handed it.
     """
 
     __slots__ = ("n", "nodes", "index", "indptr", "indices", "src")
@@ -183,13 +200,16 @@ class CSRGraph:
         index: dict[Any, int],
         indptr: np.ndarray,
         indices: np.ndarray,
+        src: np.ndarray | None = None,
     ) -> None:
         self.n = n
         self.nodes = nodes
         self.index = index
         self.indptr = indptr
         self.indices = indices
-        self.src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        if src is None:
+            src = np.repeat(np.arange(n, dtype=np.int64), indptr[1:] - indptr[:-1])
+        self.src = src
 
     # ------------------------------------------------------------------
     @classmethod
@@ -198,11 +218,15 @@ class CSRGraph:
 
         ``edges`` is an ``(m, 2)`` integer array, one row per edge.  Rows
         in ``graph.edges`` order give exactly :meth:`from_networkx`'s
-        arrays (see :func:`_adjacency`).
+        arrays (see :func:`_adjacency`).  A self-loop row raises
+        ``ValueError``, as in :meth:`from_networkx`.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size and (int(edges.min()) < 0 or int(edges.max()) >= n):
             raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+        loops = np.flatnonzero(edges[:, 0] == edges[:, 1])
+        if loops.size:
+            raise ValueError(_SELF_LOOP.format(int(edges[loops[0], 0])))
         nodes = tuple(range(n))
         return cls(n, nodes, dict(zip(nodes, range(n))), *_adjacency(n, edges))
 
@@ -215,10 +239,10 @@ class CSRGraph:
         :func:`_networkx_edges`), are frozen by the same
         :func:`_adjacency` as :meth:`from_edges`.
 
-        Raises ``ValueError`` for directed graphs and multigraphs:
-        mirroring each arc would silently treat a digraph as its
-        underlying undirected graph, which is almost never what a caller
-        meant.  Convert explicitly (``graph.to_undirected()``, or
+        Raises ``ValueError`` for directed graphs, multigraphs and
+        self-loops: mirroring each arc would silently treat a digraph as
+        its underlying undirected graph, which is almost never what a
+        caller meant.  Convert explicitly (``graph.to_undirected()``, or
         ``nx.Graph(graph)`` for a multigraph) if that *is* the intent.
         """
         (nodes,), (index,), _, edges = _networkx_edges([graph])
@@ -234,7 +258,7 @@ class CSRGraph:
     @property
     def degrees(self) -> np.ndarray:
         """Per-node degree, dense order."""
-        return np.diff(self.indptr)
+        return self.indptr[1:] - self.indptr[:-1]
 
     def neighbors_of(self, i: int) -> np.ndarray:
         """Dense neighbor indices of dense node ``i``."""
@@ -323,7 +347,7 @@ def collision_counts(csr: CSRGraph, evals: np.ndarray) -> np.ndarray:
     ``evals`` has shape ``(q, n)`` — row ``x`` holds every node's
     polynomial evaluation at point ``x``.  Returns ``hits`` of the same
     shape where ``hits[x, i]`` counts neighbors ``j`` of ``i`` with
-    ``evals[x, j] == evals[x, i]`` (a self-loop slot always agrees).
+    ``evals[x, j] == evals[x, i]``.
 
     Agreement across an edge is symmetric, so each undirected edge is
     compared once, on its ``src < indices`` slot, with ``evals`` cast to
@@ -346,13 +370,9 @@ def collision_counts(csr: CSRGraph, evals: np.ndarray) -> np.ndarray:
     narrow = evals.astype(np.min_scalar_type(max(q - 1, 0)), copy=False)
     xs, ks = np.nonzero(narrow[:, u] == narrow[:, v])
     base = xs * n
-    hits = np.bincount(
+    return np.bincount(
         np.concatenate([base + u[ks], base + v[ks]]), minlength=q * n
     ).reshape(q, n)
-    loops = src == dst
-    if loops.any():
-        hits += np.bincount(src[loops], minlength=n)
-    return hits
 
 
 def match_counts(match: np.ndarray, receivers: np.ndarray, n: int) -> np.ndarray:
@@ -376,21 +396,27 @@ def match_counts(match: np.ndarray, receivers: np.ndarray, n: int) -> np.ndarray
 # polynomial machinery (Linial steps)
 # ----------------------------------------------------------------------
 def poly_digits(colors: np.ndarray, q: int, degree: int) -> np.ndarray:
-    """Base-q digit matrix, shape (n, degree+1) — coefficient i in col i."""
+    """Base-q digit matrix, shape (n, degree+1) — coefficient i in col i.
+
+    ``colors`` must be non-negative."""
     out = np.empty((colors.shape[0], degree + 1), dtype=np.int64)
-    c = colors.copy()
+    c = colors
     for i in range(degree + 1):
-        out[:, i] = c % q
-        c //= q
+        c, out[:, i] = np.divmod(c, q)
     return out
 
 
 def poly_eval_grid(digits: np.ndarray, q: int) -> np.ndarray:
-    """Evaluations at every x in F_q; shape (q, n).  Horner, vectorized."""
+    """Evaluations at every x in F_q; shape (q, n).  Horner, vectorized.
+
+    ``digits`` must lie in ``0..q-1`` (as :func:`poly_digits` gives), so
+    the leading coefficient needs no reduction."""
     xs = np.arange(q, dtype=np.int64)[:, None]  # (q, 1)
-    acc = np.zeros((q, digits.shape[0]), dtype=np.int64)
-    for i in range(digits.shape[1] - 1, -1, -1):
-        acc = (acc * xs + digits[None, :, i]) % q
+    acc = np.repeat(digits[None, :, -1], q, axis=0)
+    for i in range(digits.shape[1] - 2, -1, -1):
+        acc *= xs
+        acc += digits[:, i]
+        acc %= q
     return acc
 
 

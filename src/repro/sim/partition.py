@@ -77,12 +77,10 @@ from typing import TYPE_CHECKING, Any, Mapping
 import numpy as np
 
 from ..core.coloring import ColoringResult
+from .batch import linial_step
 from .engine import (
     CSRGraph,
     as_csr,
-    collision_counts,
-    poly_digits,
-    poly_eval_grid,
     record_uniform_round,
     synthesized_metrics,
 )
@@ -356,7 +354,7 @@ def partition_graph(
 class _ShardCSR:
     """Duck-typed stand-in for :class:`CSRGraph` over a shard's local ids.
 
-    Carries exactly what :func:`~repro.sim.engine.collision_counts`
+    Carries exactly what :func:`~repro.sim.batch.linial_step`
     reads (``n``/``src``/``indices``/``num_directed_edges``) without the
     label machinery (``nodes`` tuple, ``index`` dict) that would cost
     hundreds of MB per shard at 10M nodes.
@@ -422,7 +420,6 @@ def _shard_worker(
         n_own = int(owned.shape[0])
         local = _ShardCSR(n_own + int(ghosts.shape[0]), indptr, indices)
         own = colors_global[owned].copy()
-        own_range = np.arange(n_own)
         round_walls: list[float] = []
         for rnd, (q, deg) in enumerate(sched):
             if crash_round is not None and rnd == crash_round:
@@ -432,13 +429,7 @@ def _shard_worker(
             barrier.wait(timeout=barrier_timeout)  # all reads snapshotted
             if n_own:
                 colors_local = np.concatenate([own, ghost_colors])
-                digits = poly_digits(colors_local, q, deg)
-                evals = poly_eval_grid(digits, q)  # (q, n_local)
-                hits = collision_counts(local, evals)
-                # restricting argmin to owned columns preserves the
-                # single-CSR tie-break: columns are independent
-                best_x = np.argmin(hits[:, :n_own], axis=0)
-                own = best_x * q + evals[best_x, own_range]
+                own = linial_step(local, colors_local, q, deg, owned=n_own)
                 colors_global[owned] = own
             barrier.wait(timeout=barrier_timeout)  # all writes published
             round_walls.append(time.perf_counter() - t0)

@@ -11,6 +11,7 @@ equivalent fast paths, all built on the shared CSR execution layer in
   variant, on the **same schedule** and with the **same tie-breaking**
   (smallest evaluation point among minimal collision counts, which equals
   NumPy's first-occurrence ``argmin``) as the reference;
+* :func:`fk24_vectorized` — the [FK24] iterative list-defective coloring;
 * :func:`schedule_reduction_vectorized` — the classic one-class-per-round
   list reduction;
 * :func:`greedy_list_vectorized` — the sequential greedy of
@@ -20,8 +21,10 @@ equivalent fast paths, all built on the shared CSR execution layer in
   step of :func:`repro.algorithms.defective.defective_class_partition`,
   with vectorized defect validation.
 
-All fast paths synthesize metrics identical to the reference run's
-(per round, every node messages every neighbor one current color).
+:func:`linial_vectorized` and :func:`fk24_vectorized` are the k=1 calls of
+the batched drivers in :mod:`repro.sim.batch`, which hold each
+algorithm's round rule once, fault-free and faulty.  All fast paths
+synthesize metrics identical to the reference run's.
 Equivalence is enforced by tests (`tests/test_vectorized.py`) comparing
 outputs and metrics against the reference implementations node for node.
 Methodology per the HPC guides: the reference stays the readable source
@@ -37,23 +40,17 @@ from typing import TYPE_CHECKING
 import numpy as np
 import networkx as nx
 
-from ..core.coloring import ColoringResult, EdgeOrientation
+from ..core.coloring import ColoringResult
+from .batch import fk24_vectorized_batch, linial_vectorized_batch
 from .engine import (
     CSRGraph,
     as_csr,
-    collision_counts,
     equal_neighbor_counts,
-    match_counts,
-    pack_lists,
-    poly_digits,
-    poly_eval_grid,
     ragged_lists,
     record_uniform_round,
     synthesized_metrics,
 )
-from .message import int_bits
 from .metrics import RunMetrics
-from .node import HaltingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> sim)
     from ..obs import RunRecorder
@@ -62,17 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> sim)
 def _phase(recorder: "RunRecorder | None", name: str):
     """The recorder's profiler phase, or a no-op when unobserved."""
     return recorder.profiler.phase(name) if recorder is not None else nullcontext()
-
-
-def _edge_arrays(graph: nx.Graph) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
-    """Directed edge arrays (both directions) over dense node indices.
-
-    Backward-compatible wrapper over :class:`~repro.sim.engine.CSRGraph`;
-    raises ``ValueError`` on directed inputs (a digraph used to be
-    silently double-directed here).
-    """
-    csr = CSRGraph.from_networkx(graph)
-    return csr.src, csr.indices, csr.index
 
 
 def linial_vectorized(
@@ -86,7 +72,8 @@ def linial_vectorized(
     """Vectorized twin of :func:`repro.algorithms.linial.run_linial`.
 
     Returns the identical ``(coloring, metrics, palette)`` triple; see the
-    module docstring for the equivalence contract.  ``recorder`` (a
+    module docstring for the equivalence contract.  This is the k=1 call
+    of :func:`~repro.sim.batch.linial_vectorized_batch`.  ``recorder`` (a
     :class:`~repro.obs.RunRecorder`) additionally collects one
     observability row per schedule step — every node is active in every
     round, exactly as in the reference run — plus ``csr_build`` /
@@ -95,202 +82,22 @@ def linial_vectorized(
     kernel, which replays the plan's exact message/crash schedule and is
     bit-for-bit equivalent to ``run_linial(..., faults=plan)`` — outputs,
     metrics, and the per-round fault column family all match (the
-    standing cross-engine contract under fault injection).  ``graph`` may
-    be an already-frozen :class:`~repro.sim.engine.CSRGraph`, which a
-    composing fast path passes to avoid freezing the topology twice.
+    standing cross-engine contract under fault injection); a plan that
+    exhausts the round budget raises the reference's
+    :class:`~repro.sim.node.HaltingError` after flushing the recorder.
+    ``graph`` may be an already-frozen
+    :class:`~repro.sim.engine.CSRGraph`, which a composing fast path
+    passes to avoid freezing the topology twice.
     """
-    from ..algorithms.linial import defective_schedule, linial_schedule
-
-    with _phase(recorder, "csr_build"):
-        csr = as_csr(graph)
-    n = csr.n
-    delta = int(csr.degrees.max()) if n else 0
-    if initial_colors is None:
-        initial_colors = {v: i for i, v in enumerate(csr.nodes)}
-    m0 = max(initial_colors.values()) + 1 if initial_colors else 1
-    with _phase(recorder, "schedule"):
-        sched = (
-            linial_schedule(m0, delta)
-            if defect == 0
-            else defective_schedule(m0, delta, defect)
-        )
-    palette = sched[-1].out_colors if sched else m0
-
-    colors = csr.gather(initial_colors)
-    # match the reference driver's default CONGEST budget
-    metrics = synthesized_metrics(n)
-    bits = int_bits(max(1, m0 - 1))
-    per_round_messages = csr.num_directed_edges
-
-    if faults is not None:
-        try:
-            with _phase(recorder, "rounds"):
-                colors = _linial_faulty_rounds(
-                    csr, sched, colors, bits, faults, metrics, recorder
-                )
-        except HaltingError:
-            # flush the partial per-round record before propagating —
-            # the same post-mortem contract as SyncNetwork.run's halt path
-            if recorder is not None:
-                recorder.finalize(
-                    metrics,
-                    n=n,
-                    m=csr.num_directed_edges // 2,
-                    palette=palette,
-                    algorithm=recorder.algorithm or "linial_vectorized",
-                )
-            raise
-    else:
-        with _phase(recorder, "rounds"):
-            for step in sched:
-                q, deg = step.q, step.deg
-                digits = poly_digits(colors, q, deg)
-                evals = poly_eval_grid(digits, q)  # (q, n)
-                hits = collision_counts(csr, evals)  # (q, n) int64
-                best_x = np.argmin(hits, axis=0)  # first occurrence = smallest x
-                colors = best_x * q + evals[best_x, np.arange(n)]
-                record_uniform_round(
-                    metrics, recorder, per_round_messages, bits, active=n
-                )
-
-    result = ColoringResult(csr.scatter(colors))
-    if recorder is not None and _finalize_recorder:
-        recorder.finalize(
-            metrics,
-            n=n,
-            m=csr.num_directed_edges // 2,
-            palette=palette,
-            algorithm=recorder.algorithm or "linial_vectorized",
-        )
-    return result, metrics, palette
-
-
-def _linial_faulty_rounds(
-    csr: CSRGraph,
-    sched,
-    colors: np.ndarray,
-    bits: int,
-    faults,
-    metrics: RunMetrics,
-    recorder: "RunRecorder | None",
-) -> np.ndarray:
-    """The mask-based faulty Linial round loop (see :func:`linial_vectorized`).
-
-    Mirrors the reference simulator's delivery semantics edge for edge:
-    transmissions are drawn from active+alive senders, fates come from the
-    plan's vectorized hash (pinned equal to the scalar hash), delayed and
-    duplicated copies sit in a per-round pending buffer whose stale
-    entries are overwritten by fresher same-edge deliveries, deliveries to
-    crashed receivers are discarded, and receivers decode only payloads
-    inside their step's ``q^(deg+1)`` domain.  Nodes advance one schedule
-    step per round they are up, so crash outages leave step *skew* —
-    distinct steps are processed group by group, exactly like the
-    per-node reference receive.
-    """
-    from ..faults.plan import (
-        FATE_CORRUPT,
-        FATE_DELAY,
-        FATE_DELIVER,
-        FATE_DROP,
-        FATE_DUPLICATE,
-        node_labels_u64,
+    (out,) = linial_vectorized_batch(
+        [graph],
+        initial_colors=[initial_colors],
+        defect=defect,
+        recorders=[recorder],
+        faults=[faults],
+        _finalize_recorders=_finalize_recorder,
     )
-    from .node import HaltingError
-
-    n = csr.n
-    total_steps = len(sched)
-    steps = np.zeros(n, dtype=np.int64)
-    colors = colors.copy()
-    labels = node_labels_u64(csr.nodes)
-    src_labels = labels[csr.src]
-    dst_labels = labels[csr.indices]
-    num_edges = csr.num_directed_edges
-    max_rounds = faults.round_budget(total_steps)
-    # deliver_round -> [(edge indices, payload snapshot), ...] in the order
-    # scheduled; later writes overwrite earlier ones like the reference's
-    # sender-keyed inbox.
-    pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-
-    rnd = 0
-    while bool((steps < total_steps).any()):
-        if rnd >= max_rounds:
-            unfinished = [
-                csr.nodes[i] for i in np.nonzero(steps < total_steps)[0]
-            ]
-            raise HaltingError(rounds=rnd, unfinished=unfinished)
-        alive = ~faults.crashed_mask(rnd, labels)
-        active = steps < total_steps
-        transmit = (active & alive)[csr.src]
-        counts = dict.fromkeys(
-            ("dropped", "corrupted", "delayed", "duplicated"), 0
-        )
-        counts["crashed"] = int(n - alive.sum())
-
-        delivered = np.full(num_edges, -1, dtype=np.int64)
-        for edge_idx, values in pending.pop(rnd, ()):
-            delivered[edge_idx] = values
-        if transmit.any():
-            codes, delays = faults.edge_fates(rnd, src_labels, dst_labels)
-            codes = np.where(transmit, codes, -1)
-            payload = colors[csr.src]
-            counts["dropped"] = int((codes == FATE_DROP).sum())
-            counts["corrupted"] = int((codes == FATE_CORRUPT).sum())
-            counts["delayed"] = int((codes == FATE_DELAY).sum())
-            counts["duplicated"] = int((codes == FATE_DUPLICATE).sum())
-            for code in (FATE_DELAY, FATE_DUPLICATE):
-                idx = np.nonzero(codes == code)[0]
-                for d in np.unique(delays[idx]):
-                    sel = idx[delays[idx] == d]
-                    pending.setdefault(rnd + int(d), []).append(
-                        (sel, payload[sel].copy())
-                    )
-            now = (codes == FATE_DELIVER) | (codes == FATE_DUPLICATE)
-            delivered[now] = payload[now]
-            corrupt = codes == FATE_CORRUPT
-            if corrupt.any():
-                delivered[corrupt] = faults.corrupt_values(
-                    rnd,
-                    src_labels[corrupt],
-                    dst_labels[corrupt],
-                    payload[corrupt],
-                )
-        # deliveries (stale included) to crashed receivers are discarded
-        delivered[~alive[csr.indices]] = -1
-
-        receiving = active & alive
-        new_colors = colors.copy()
-        for s in np.unique(steps[receiving]):
-            step = sched[s]
-            q, deg = step.q, step.deg
-            domain = q ** (deg + 1)
-            group = receiving & (steps == s)
-            own_evals = poly_eval_grid(poly_digits(colors, q, deg), q)  # (q, n)
-            edge_ok = (
-                group[csr.indices] & (delivered >= 0) & (delivered < domain)
-            )
-            hits = np.zeros((q, n), dtype=np.int64)
-            if edge_ok.any():
-                edge_dst = csr.indices[edge_ok]
-                edge_evals = poly_eval_grid(
-                    poly_digits(delivered[edge_ok], q, deg), q
-                )  # (q, #ok)
-                hits = match_counts(edge_evals == own_evals[:, edge_dst], edge_dst, n)
-            members = np.nonzero(group)[0]
-            best_x = np.argmin(hits[:, members], axis=0)  # first occurrence
-            new_colors[members] = best_x * q + own_evals[best_x, members]
-        colors = new_colors
-        steps[receiving] += 1
-
-        record_uniform_round(
-            metrics,
-            recorder,
-            int(transmit.sum()),
-            bits,
-            active=int(active.sum()),
-            faults=counts,
-        )
-        rnd += 1
-    return colors
+    return out
 
 
 def schedule_reduction_vectorized(
@@ -523,48 +330,6 @@ def classic_delta_plus_one_vectorized(
     return res, merged
 
 
-# ----------------------------------------------------------------------
-# FK24 simple iterative list-defective coloring
-# ----------------------------------------------------------------------
-#: Sentinel larger than any within-ragged-array position (first-viable scan).
-_NO_CAND = np.int64(1) << np.int64(60)
-
-
-def _fk24_candidates(
-    counts: np.ndarray,
-    owner: np.ndarray,
-    list_indptr: np.ndarray,
-    list_values: np.ndarray,
-    defect_arr: np.ndarray,
-    trying: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """First viable list color per trying node: ``(has_cand, cand_color)``.
-
-    Position ``p`` (owned by node ``owner[p]``, carrying color
-    ``list_values[p]``) is viable when at most ``defect`` known neighbors
-    hold that color (``counts`` is the per-(node, color) knowledge
-    matrix).  The candidate is the first viable position in the node's
-    original list order — exactly the reference's ``for x in L_v`` scan.
-    """
-    n = list_indptr.shape[0] - 1
-    total = list_values.shape[0]
-    if total:
-        viable = counts[owner, list_values] <= defect_arr[owner]
-        masked = np.where(viable, np.arange(total, dtype=np.int64), _NO_CAND)
-        # reduceat quirks: clip trailing starts into range and overwrite
-        # empty segments (their reduceat slot holds a neighbor segment's
-        # element) with the no-candidate sentinel
-        starts = np.minimum(list_indptr[:-1], total - 1)
-        first = np.minimum.reduceat(masked, starts)
-        first[np.diff(list_indptr) == 0] = _NO_CAND
-    else:
-        first = np.full(n, _NO_CAND, dtype=np.int64)
-    has_cand = trying & (first < _NO_CAND)
-    cand_color = np.zeros(n, dtype=np.int64)
-    cand_color[has_cand] = list_values[first[has_cand]]
-    return has_cand, cand_color
-
-
 def fk24_vectorized(
     graph: "nx.Graph | CSRGraph",
     lists=None,
@@ -582,314 +347,25 @@ def fk24_vectorized(
     adopters to earlier ones, making the output a list arbdefective
     coloring — with per-round obs rows (message counts vary round to
     round as nodes adopt and halt, unlike the schedule-driven kernels).
+    This is the k=1 call of :func:`~repro.sim.batch.fk24_vectorized_batch`.
     ``faults`` switches to the mask-based faulty kernel, bit-for-bit
     equivalent to ``run_fk24(..., faults=plan)`` including the fault
     column family and the (stretched) round budget, so a plan that
     livelocks the algorithm halts both engines with the identical
-    :class:`~repro.sim.node.HaltingError`.  ``adoption_out``, if given,
-    is filled with each node's adoption round.  ``graph`` may be a frozen
+    :class:`~repro.sim.node.HaltingError` (raised after the recorder is
+    flushed).  ``adoption_out``, if given, is filled with each node's
+    adoption round.  ``graph`` may be a frozen
     :class:`~repro.sim.engine.CSRGraph`; the orientation is built from
-    its arrays either way (:func:`adoption_orientation`).
+    its arrays either way (:func:`~repro.sim.batch.adoption_orientation`).
     """
-    from ..algorithms.fk24 import fk24_lists, fk24_round_budget
-
-    with _phase(recorder, "csr_build"):
-        csr = as_csr(graph)
-    n = csr.n
-    with _phase(recorder, "schedule"):
-        if lists is None:
-            lists, built_space = fk24_lists(csr, defect)
-            if space_size is None:
-                space_size = built_space
-        per_node = [tuple(lists[v]) for v in csr.nodes]
-        if space_size is None:
-            space_size = max((max(lst) for lst in per_node if lst), default=0) + 1
-        space = int(space_size)
-        list_indptr, list_values = pack_lists(per_node)
-        budget = fk24_round_budget(int(list_indptr[-1]), n)
-    max_rounds = budget if faults is None else faults.round_budget(budget)
-    bits = int_bits(max(1, 2 * space - 1))
-    metrics = synthesized_metrics(n)
-
-    try:
-        with _phase(recorder, "rounds"):
-            if faults is not None:
-                colors, adopted = _fk24_faulty_rounds(
-                    csr, list_indptr, list_values, space, int(defect),
-                    bits, max_rounds, faults, metrics, recorder,
-                )
-            else:
-                colors, adopted = _fk24_rounds(
-                    csr, list_indptr, list_values, space, int(defect),
-                    bits, max_rounds, metrics, recorder,
-                )
-    except HaltingError:
-        # flush the partial per-round record before propagating — the
-        # same post-mortem contract as SyncNetwork.run's halt path
-        if recorder is not None:
-            recorder.finalize(
-                metrics,
-                n=n,
-                m=csr.num_directed_edges // 2,
-                palette=space,
-                algorithm=recorder.algorithm or "fk24_vectorized",
-            )
-        raise
-
-    if adoption_out is not None:
-        adoption_out.update(csr.scatter(adopted))
-    result = ColoringResult(
-        csr.scatter(colors), adoption_orientation(csr, adopted)
+    (out,) = fk24_vectorized_batch(
+        [graph],
+        lists=[lists],
+        space_size=space_size,
+        defect=defect,
+        recorders=[recorder],
+        faults=[faults],
+        _finalize_recorders=_finalize_recorder,
+        adoption_outs=[adoption_out],
     )
-    if recorder is not None and _finalize_recorder:
-        recorder.finalize(
-            metrics,
-            n=n,
-            m=csr.num_directed_edges // 2,
-            palette=space,
-            algorithm=recorder.algorithm or "fk24_vectorized",
-        )
-    return result, metrics, space
-
-
-def adoption_orientation(csr: CSRGraph, adopted: np.ndarray) -> EdgeOrientation:
-    """Every edge oriented from its later adopter to its earlier one, ties
-    toward the larger label, from CSR arrays.
-
-    ``adopted`` holds each dense node's adoption round.  The arc set equals
-    :func:`~repro.core.coloring.orientation_from_priority` over the
-    label-keyed adoption rounds: dense order is sorted label order, so for
-    an edge ``u < w`` the priority ``(adopted, node)`` of ``u`` is the
-    larger exactly when ``adopted[u] > adopted[w]``.
-    """
-    fwd = csr.src < csr.indices
-    u, w = csr.src[fwd], csr.indices[fwd]
-    later = adopted[u] > adopted[w]
-    # the graph's own label objects, shared by the arcs
-    labels = np.fromiter(csr.nodes, dtype=object, count=csr.n)
-    tails = labels[np.where(later, u, w)].tolist()
-    heads = labels[np.where(later, w, u)].tolist()
-    return EdgeOrientation(set(zip(tails, heads)))
-
-
-def _fk24_rounds(
-    csr: CSRGraph,
-    list_indptr: np.ndarray,
-    list_values: np.ndarray,
-    space: int,
-    defect: int,
-    bits: int,
-    max_rounds: int,
-    metrics: RunMetrics,
-    recorder: "RunRecorder | None",
-) -> tuple[np.ndarray, np.ndarray]:
-    """The fault-free FK24 round loop (see :func:`fk24_vectorized`).
-
-    Per-node knowledge is a ``(n, space)`` counts matrix updated
-    incrementally — valid because fault-free every adopter announces its
-    color exactly once with guaranteed delivery, so per-sender knowledge
-    equals the delivered-announcement multiset.  Candidate selection uses
-    the counts as of the *end of the previous round* (the reference picks
-    in ``send``); adoption re-checks against counts updated with this
-    round's announcements plus same-round smaller-label rivals trying the
-    same color (dense index order equals sorted label order, so the index
-    comparison is the reference's ``u < view.id``).
-    """
-    n = csr.n
-    status = np.zeros(n, dtype=np.int64)  # 0 trying, 1 announcing, 2 done
-    colors = np.full(n, -1, dtype=np.int64)
-    adopted = np.full(n, -1, dtype=np.int64)
-    counts = np.zeros((n, max(1, space)), dtype=np.int64)
-    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(list_indptr))
-    defect_arr = np.full(n, defect, dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-
-    rnd = 0
-    while bool((status < 2).any()):
-        if rnd >= max_rounds:
-            unfinished = [csr.nodes[i] for i in np.nonzero(status < 2)[0]]
-            raise HaltingError(rounds=rnd, unfinished=unfinished)
-        trying = status == 0
-        announcing = status == 1
-        active_n = int((status < 2).sum())
-        has_cand, cand_color = _fk24_candidates(
-            counts, owner, list_indptr, list_values, defect_arr, trying
-        )
-        sending = has_cand | announcing
-        msgs = int(csr.degrees[sending].sum())
-        # this round's announcements update everyone's knowledge first
-        took_edge = announcing[csr.src]
-        if took_edge.any():
-            np.add.at(
-                counts,
-                (csr.indices[took_edge], colors[csr.src[took_edge]]),
-                1,
-            )
-        taken = np.zeros(n, dtype=np.int64)
-        taken[has_cand] = counts[idx[has_cand], cand_color[has_cand]]
-        conflict = (
-            has_cand[csr.src]
-            & has_cand[csr.indices]
-            & (csr.src < csr.indices)
-            & (cand_color[csr.src] == cand_color[csr.indices])
-        )
-        stronger = np.bincount(csr.indices[conflict], minlength=n)
-        adopt = has_cand & (taken + stronger <= defect_arr)
-        status[announcing] = 2
-        status[adopt] = 1
-        colors[adopt] = cand_color[adopt]
-        adopted[adopt] = rnd
-        record_uniform_round(metrics, recorder, msgs, bits, active=active_n)
-        rnd += 1
-    return colors, adopted
-
-
-def _fk24_faulty_rounds(
-    csr: CSRGraph,
-    list_indptr: np.ndarray,
-    list_values: np.ndarray,
-    space: int,
-    defect: int,
-    bits: int,
-    max_rounds: int,
-    faults,
-    metrics: RunMetrics,
-    recorder: "RunRecorder | None",
-) -> tuple[np.ndarray, np.ndarray]:
-    """The mask-based faulty FK24 round loop (see :func:`fk24_vectorized`).
-
-    Mirrors the reference simulator's delivery semantics edge for edge
-    (same machinery as :func:`_linial_faulty_rounds`): transmissions come
-    from active+alive senders, fates from the plan's vectorized hash,
-    delayed/duplicated copies sit in a pending buffer overwritten by
-    fresher same-edge deliveries, and deliveries to crashed receivers are
-    discarded.  Knowledge is per directed edge (``know[e]`` = last
-    decoded ``took`` color on ``e``) because under corruption a sender's
-    announcement can differ per round — the counts matrix is adjusted
-    incrementally as entries change.  Payloads encode ``tag * space +
-    color``; decoders discard anything outside ``[0, 2 * space)`` exactly
-    like the reference's inbox filter.
-    """
-    from ..faults.plan import (
-        FATE_CORRUPT,
-        FATE_DELAY,
-        FATE_DELIVER,
-        FATE_DROP,
-        FATE_DUPLICATE,
-        node_labels_u64,
-    )
-
-    n = csr.n
-    num_edges = csr.num_directed_edges
-    labels = node_labels_u64(csr.nodes)
-    src_labels = labels[csr.src]
-    dst_labels = labels[csr.indices]
-    status = np.zeros(n, dtype=np.int64)
-    colors = np.full(n, -1, dtype=np.int64)
-    adopted = np.full(n, -1, dtype=np.int64)
-    counts2d = np.zeros((n, max(1, space)), dtype=np.int64)
-    know = np.full(num_edges, -1, dtype=np.int64)
-    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(list_indptr))
-    defect_arr = np.full(n, defect, dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-
-    rnd = 0
-    while bool((status < 2).any()):
-        if rnd >= max_rounds:
-            unfinished = [csr.nodes[i] for i in np.nonzero(status < 2)[0]]
-            raise HaltingError(rounds=rnd, unfinished=unfinished)
-        alive = ~faults.crashed_mask(rnd, labels)
-        trying = status == 0
-        announcing = status == 1
-        active = status < 2
-        has_cand, cand_color = _fk24_candidates(
-            counts2d, owner, list_indptr, list_values, defect_arr, trying
-        )
-        sending = (has_cand | announcing) & alive
-        transmit = sending[csr.src]
-        fcounts = dict.fromkeys(
-            ("dropped", "corrupted", "delayed", "duplicated"), 0
-        )
-        fcounts["crashed"] = int(n - alive.sum())
-
-        delivered = np.full(num_edges, -1, dtype=np.int64)
-        for edge_idx, values in pending.pop(rnd, ()):
-            delivered[edge_idx] = values
-        if transmit.any():
-            codes, delays = faults.edge_fates(rnd, src_labels, dst_labels)
-            codes = np.where(transmit, codes, -1)
-            payload = np.where(
-                announcing[csr.src],
-                space + colors[csr.src],
-                cand_color[csr.src],
-            )
-            fcounts["dropped"] = int((codes == FATE_DROP).sum())
-            fcounts["corrupted"] = int((codes == FATE_CORRUPT).sum())
-            fcounts["delayed"] = int((codes == FATE_DELAY).sum())
-            fcounts["duplicated"] = int((codes == FATE_DUPLICATE).sum())
-            for code in (FATE_DELAY, FATE_DUPLICATE):
-                eidx = np.nonzero(codes == code)[0]
-                for d in np.unique(delays[eidx]):
-                    sel = eidx[delays[eidx] == d]
-                    pending.setdefault(rnd + int(d), []).append(
-                        (sel, payload[sel].copy())
-                    )
-            now = (codes == FATE_DELIVER) | (codes == FATE_DUPLICATE)
-            delivered[now] = payload[now]
-            corrupt = codes == FATE_CORRUPT
-            if corrupt.any():
-                delivered[corrupt] = faults.corrupt_values(
-                    rnd,
-                    src_labels[corrupt],
-                    dst_labels[corrupt],
-                    payload[corrupt],
-                )
-        # deliveries (stale included) to crashed receivers are discarded
-        delivered[~alive[csr.indices]] = -1
-
-        # decode: know updates for this round's took deliveries, with the
-        # counts matrix adjusted where an edge's knowledge changed
-        took = (delivered >= space) & (delivered < 2 * space)
-        tk = np.nonzero(took)[0]
-        if tk.size:
-            newv = delivered[tk] - space
-            oldv = know[tk]
-            chg = oldv != newv
-            tk, newv, oldv = tk[chg], newv[chg], oldv[chg]
-            dec = oldv >= 0
-            if dec.any():
-                np.add.at(
-                    counts2d, (csr.indices[tk[dec]], oldv[dec]), -1
-                )
-            if tk.size:
-                np.add.at(counts2d, (csr.indices[tk], newv), 1)
-                know[tk] = newv
-        is_try = (delivered >= 0) & (delivered < space)
-        taken = np.zeros(n, dtype=np.int64)
-        receiver_cand = has_cand & alive
-        taken[receiver_cand] = counts2d[
-            idx[receiver_cand], cand_color[receiver_cand]
-        ]
-        conflict = (
-            is_try
-            & receiver_cand[csr.indices]
-            & (csr.src < csr.indices)
-            & (delivered == cand_color[csr.indices])
-        )
-        stronger = np.bincount(csr.indices[conflict], minlength=n)
-        adopt = receiver_cand & (taken + stronger <= defect_arr)
-        status[announcing & alive] = 2
-        status[adopt] = 1
-        colors[adopt] = cand_color[adopt]
-        adopted[adopt] = rnd
-        record_uniform_round(
-            metrics,
-            recorder,
-            int(transmit.sum()),
-            bits,
-            active=int(active.sum()),
-            faults=fcounts,
-        )
-        rnd += 1
-    return colors, adopted
+    return out

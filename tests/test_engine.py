@@ -68,6 +68,18 @@ class TestCSRConstruction:
         with pytest.raises(ValueError, match="multigraph"):
             BatchCSRGraph.from_graphs([ring(4), mg])
 
+    def test_self_loop_rejected(self):
+        from repro.sim.batch import BatchCSRGraph
+
+        g = ring(4)
+        g.add_edge(2, 2)
+        with pytest.raises(ValueError, match="self-loop at node 2"):
+            CSRGraph.from_networkx(g)
+        with pytest.raises(ValueError, match="self-loop at node 2"):
+            BatchCSRGraph.from_graphs([ring(3), g])
+        with pytest.raises(ValueError, match="self-loop at node 1"):
+            CSRGraph.from_edges(3, np.array([[0, 1], [1, 1]]))
+
     def test_from_edges_matches_dense_graph(self):
         g = gnp(40, 0.2, seed=11)
         edges = np.array(list(g.edges), dtype=np.int64)
@@ -152,6 +164,18 @@ class TestKernels:
             assert tuple(digits[c]) == coeffs
             for x in range(q):
                 assert evals[x, c] == poly_eval(coeffs, x, q)
+
+    @pytest.mark.parametrize("q, deg", [(2, 0), (3, 1), (17, 4), (257, 2)])
+    def test_poly_grid_matches_reference_at_other_degrees(self, q, deg):
+        from repro.algorithms.linial import poly_coeffs, poly_eval
+
+        colors = np.random.default_rng(q).integers(0, q ** (deg + 1), size=40)
+        digits = poly_digits(colors, q, deg)
+        evals = poly_eval_grid(digits, q)
+        for i, c in enumerate(colors.tolist()):
+            coeffs = poly_coeffs(c, q, deg)
+            assert tuple(digits[i]) == coeffs
+            assert evals[:, i].tolist() == [poly_eval(coeffs, x, q) for x in range(q)]
 
 
 class TestHelpers:
@@ -254,12 +278,13 @@ def _same_csr(got, nodes, index, want):
 @st.composite
 def _scrambled_graphs(draw):
     """Gappy, unsorted labels inserted in scrambled order: edges first
-    (self-loops included), then every label again, so isolated nodes
-    come last in an order of their own."""
+    (self-loops dropped: the CSR boundary rejects them), then every label
+    again, so isolated nodes come last in an order of their own."""
     labels = draw(_labels)
     node = st.sampled_from(labels)
     g = nx.Graph()
-    g.add_edges_from(draw(st.lists(st.tuples(node, node), max_size=60)))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=60))
+    g.add_edges_from((u, v) for u, v in pairs if u != v)
     g.add_nodes_from(draw(st.permutations(labels)))
     return g
 

@@ -154,6 +154,117 @@ class TestStepperEquivalence:
         with pytest.raises(ValueError, match="already-finished"):
             stepper.admit(inst)
 
+    def test_fuzz_cases_under_a_drawn_schedule_match_the_reference(
+        self, monkeypatch
+    ):
+        # the pinned linial corpus plus fuzz cases (plain and faulty),
+        # admitted a few per round on a seeded schedule, one evicted
+        # mid-run, with tiles small enough that a (q, deg) group spans
+        # several of them: every instance must reproduce the reference
+        # engine's triple and per-round rows, fault columns included
+        import random
+        from pathlib import Path
+
+        import repro.sim.batch as batch_mod
+        from repro.algorithms.linial import run_linial
+        from repro.fuzz import FuzzCase, generate_case, load_case
+        from repro.obs import (
+            ENGINE_REFERENCE,
+            ENGINE_VECTORIZED,
+            RunRecorder,
+            compare_round_accounting,
+        )
+
+        seed = 25
+        corpus = sorted((Path(__file__).parent / "corpus").glob("linial-*.json"))
+        cases = [load_case(p) for p in corpus]
+        assert len(cases) == 3 and any(c.fault is not None for c in cases)
+        cases += [generate_case(f"{seed}:{i}", pair="linial") for i in range(30)]
+        assert any(c.fault is not None for c in cases[3:])
+        assert any(c.fault is None for c in cases[3:])
+        # most small fault-free fuzz cases run an empty schedule; rings of
+        # mixed sizes on one schedule (distinct colors, one shared maximum)
+        # fill the packed tiles
+        rings = []
+        for n in (3, 4, 5, 6, 7, 8, 3, 5):
+            g = ring(n)
+            colors = {v: 64 * i for i, v in enumerate(sorted(g.nodes))}
+            colors[n - 1] = 449
+            rings.append(
+                FuzzCase(
+                    pair="linial",
+                    nodes=list(g.nodes),
+                    edges=list(g.edges),
+                    initial_colors=colors,
+                )
+            )
+        cases[3:3] = rings
+
+        spans = []
+        real_tiles = batch_mod._node_tiles
+
+        def small_tiles(js, node_counts):
+            tiles = real_tiles(js, node_counts, cap=16)
+            spans.append((len(js), len(tiles)))
+            return tiles
+
+        monkeypatch.setattr(batch_mod, "_node_tiles", small_tiles)
+
+        def plan(case):
+            return None if case.fault is None else FaultPlan.from_dict(case.fault)
+
+        pending = []
+        for case in cases:
+            rec = RunRecorder(engine=ENGINE_VECTORIZED)
+            inst = make_batch_instance(
+                case.graph(),
+                initial_colors=case.initial_colors,
+                defect=case.defect,
+                faults=plan(case),
+                recorder=rec,
+            )
+            pending.append((case, inst, rec))
+
+        rng = random.Random(seed)
+        stepper = LinialBatchStepper()
+        evicted = None
+        waiting = list(pending)
+        while waiting or not stepper.drained:
+            for _ in range(rng.randint(0, 5)):
+                if waiting:
+                    stepper.admit(waiting.pop(0)[1])
+            started = [i for i in stepper.live if i.rounds_resident]
+            if evicted is None and started:
+                evicted = started[0]
+                assert stepper.evict(evicted)
+            stepper.step()
+        assert evicted is not None and not evicted.finished
+        assert any(m > t >= 2 for m, t in spans), spans
+
+        checked = 0
+        for case, inst, rec in pending:
+            if inst is evicted:
+                continue
+            ref_rec = RunRecorder(engine=ENGINE_REFERENCE)
+            try:
+                ref = run_linial(
+                    case.graph(),
+                    initial_colors=case.initial_colors,
+                    defect=case.defect,
+                    recorder=ref_rec,
+                    faults=plan(case),
+                )
+            except HaltingError as exc:
+                assert isinstance(inst.outcome(), HaltingError)
+                assert str(inst.outcome()) == str(exc)
+            else:
+                triple_eq(inst.outcome(), ref)
+            acc = compare_round_accounting(ref_rec.record, rec.record)
+            assert acc["rounds_equal"] and acc["accounting_equal"], case.describe()
+            assert acc["faults_equal"] and acc["totals_equal"], case.describe()
+            checked += 1
+        assert checked == len(cases) - 1
+
 
 # ----------------------------------------------------------------------
 # layer 2: the continuous-batching scheduler

@@ -602,7 +602,7 @@ class TestBothWays:
     """An edge oriented both ways is not a list arbdefective orientation."""
 
     def test_path_with_a_doubled_edge(self):
-        from repro.experiments.sweep import _fk24_valid
+        from repro.core.validate import list_arbdefective_csr_ok
 
         g = path(3)
         ori = EdgeOrientation({(0, 1), (1, 0), (1, 2)})
@@ -612,7 +612,7 @@ class TestBothWays:
             assert not rep.ok
             assert rep.violations == ["edge {0,1} is oriented both ways"]
         lists = {v: (0, 1) for v in g.nodes}
-        assert not _fk24_valid(CSRGraph.from_networkx(g), res, lists, 1)
+        assert not list_arbdefective_csr_ok(CSRGraph.from_networkx(g), res, lists, 1)
 
     def test_oriented_self_loop_is_not_both_ways(self):
         g = path(2)
@@ -626,7 +626,7 @@ class TestBothWays:
         import random
 
         from repro.algorithms.fk24 import fk24_lists
-        from repro.experiments.sweep import _fk24_valid
+        from repro.core.validate import list_arbdefective_csr_ok
         from repro.sim.vectorized import fk24_vectorized
 
         rng = random.Random(seed)
@@ -650,7 +650,7 @@ class TestBothWays:
         for arcs in _corrupted_orientations(g, rng, out.orientation.arcs):
             for assignment in assignments:
                 res = ColoringResult(assignment, EdgeOrientation(set(arcs)))
-                sweep = _fk24_valid(csr, res, lists, defect)
+                sweep = list_arbdefective_csr_ok(csr, res, lists, defect)
                 assert validate_arbdefective(inst, res).ok == sweep
                 assert validate_arbdefective_plain(g, res, defect).ok == sweep
                 verdicts.add(sweep)

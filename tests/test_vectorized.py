@@ -87,16 +87,6 @@ class TestDirectedRejected:
         with pytest.raises(ValueError, match="undirected"):
             linial_vectorized(dg)
 
-    def test_edge_arrays_rejects_digraph(self):
-        import networkx as nx
-
-        from repro.sim.vectorized import _edge_arrays
-
-        dg = nx.DiGraph()
-        dg.add_edge(0, 1)
-        with pytest.raises(ValueError, match="undirected"):
-            _edge_arrays(dg)
-
 
 class TestGreedyVectorized:
     @pytest.mark.parametrize(
