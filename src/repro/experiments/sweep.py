@@ -58,12 +58,17 @@ Fault tolerance (the shape a long overnight sweep actually needs):
   survives while the cell recomputes; ``repro-cli report`` surfaces the
   count.
 
+Every engine fast path is one runner in :data:`FAST_PATHS`, over k
+cells at once: :func:`compute_cell` is its one-cell call and re-raises,
+:func:`compute_cells_batched` its many-cell call and quarantines.  Both
+feed the runner each cell's frozen CSR, so a cell of an emitting family
+builds no networkx graph unless its path asks for one (greedy does).
 Workers batch before they loop: pending cells that share a
-:data:`BATCHABLE_ALGORITHMS` algorithm are packed into one block-diagonal
-:class:`~repro.sim.batch.BatchCSRGraph` execution per algorithm
-(:func:`compute_cells_batched`) — identical records cell for cell, one
-engine invocation for the whole group — with cached cells excluded from
-the packing and the per-cell loop as fallback.
+:data:`FAST_PATHS` algorithm are packed into one block-diagonal
+:class:`~repro.sim.batch.BatchCSRGraph` execution per algorithm —
+identical records cell for cell, one engine invocation for the whole
+group — with cached cells excluded from the packing and the per-cell
+loop as fallback.
 
 Algorithms are resolved by name: first against the engine fast paths
 (``linial_vectorized``, ``classic_vectorized``, ``greedy_vectorized``,
@@ -79,7 +84,8 @@ reference runs at small n.  Which backend owns each sweep name — and
 which names batch — is declared once in :mod:`repro.sim.backends`
 (:func:`~repro.sim.backends.backend_of_sweep_algorithm`,
 :func:`~repro.sim.backends.batchable_sweep_algorithms`); every name a
-backend declares must have a runner in this module's dispatch tables
+backend declares must have a runner in this module's dispatch tables,
+and the batchable names are exactly :data:`FAST_PATHS`
 (``tests/test_registry.py``).  Fast-path and reference-path cells attach
 a full per-round :class:`~repro.obs.RunRecord` to their cache record;
 cross-engine pairs (see :data:`repro.analysis.report.REFERENCE_TWINS`)
@@ -286,54 +292,76 @@ def _fault_plan(params: Mapping[str, Any]):
     return FaultPlan.from_dict(dict(params.get("faults") or {}))
 
 
-# Fast paths take the cell's _CellGraph: the kernels read its CSR, and only
-# the greedy paths, whose instances are networkx-based, ask for its graph.
-def _run_linial_vectorized(cg, params, recorder=None):
-    from ..sim.vectorized import linial_vectorized
+# Fast paths: one runner per algorithm over k cells, given their
+# _CellGraphs, params, recorders and fk24 configs (one each per cell).  A
+# runner returns one ``(result, metrics, palette)`` or exception per cell;
+# compute_cell is its one-cell call, compute_cells_batched its many-cell
+# call.  The kernels read each cell's CSR; only greedy, whose instances are
+# networkx-based, asks for the cell's graph too.
+def _unless_failed(outs: list, adapt: Callable) -> list:
+    """``adapt`` applied to every outcome that is not an exception."""
+    return [o if isinstance(o, BaseException) else adapt(o) for o in outs]
 
-    return linial_vectorized(
-        cg.freeze(), defect=int(params.get("defect", 0)), recorder=recorder
+
+def _run_linial_vectorized(cgs, params, recs, configs, *, faulty=False):
+    from ..sim.batch import linial_vectorized_batch
+
+    return linial_vectorized_batch(
+        [cg.freeze() for cg in cgs],
+        defect=[int(p.get("defect", 0)) for p in params],
+        recorders=recs,
+        faults=[_fault_plan(p) for p in params] if faulty else None,
+        return_exceptions=True,
     )
 
 
-def _run_classic_vectorized(cg, params, recorder=None):
-    from ..sim.vectorized import classic_delta_plus_one_vectorized
-
-    res, metrics = classic_delta_plus_one_vectorized(cg.freeze(), recorder=recorder)
-    return res, metrics, None
+def _run_linial_faulty_vectorized(cgs, params, recs, configs):
+    return _run_linial_vectorized(cgs, params, recs, configs, faulty=True)
 
 
-def _run_greedy_vectorized(cg, params, recorder=None):
+def _run_classic_vectorized(cgs, params, recs, configs):
+    from ..sim.batch import classic_delta_plus_one_vectorized_batch
+
+    outs = classic_delta_plus_one_vectorized_batch(
+        [cg.freeze() for cg in cgs], recorders=recs, return_exceptions=True
+    )
+    return _unless_failed(outs, lambda o: (o[0], o[1], None))
+
+
+def _run_greedy_vectorized(cgs, params, recs, configs):
     from ..core.instance import delta_plus_one_instance
-    from ..sim.vectorized import greedy_list_vectorized
+    from ..sim.batch import greedy_list_vectorized_batch
 
-    csr = cg.freeze()
-    instance = delta_plus_one_instance(cg.graph)
-    res = greedy_list_vectorized(instance, _csr=csr)
-    space = instance.space.size
-    n, m = csr.n, csr.num_directed_edges // 2
-    return res, _announce_coloring_metrics(n, m, space, recorder), space
+    csrs = [cg.freeze() for cg in cgs]
+    instances = [delta_plus_one_instance(cg.graph) for cg in cgs]
+    outs = greedy_list_vectorized_batch(
+        instances, return_exceptions=True, _csrs=csrs
+    )
+    return [
+        o
+        if isinstance(o, BaseException)
+        else (
+            o,
+            _announce_coloring_metrics(
+                csr.n, csr.num_directed_edges // 2, inst.space.size, rec
+            ),
+            inst.space.size,
+        )
+        for csr, inst, rec, o in zip(csrs, instances, recs, outs)
+    ]
 
 
-def _run_defective_split(cg, params, recorder=None):
+def _run_defective_split(cgs, params, recs, configs):
     from ..core.coloring import ColoringResult
-    from ..sim.vectorized import defective_split_vectorized
+    from ..sim.batch import defective_split_vectorized_batch
 
-    classes, metrics, palette = defective_split_vectorized(
-        cg.freeze(), defect=int(params.get("defect", 1)), recorder=recorder
+    outs = defective_split_vectorized_batch(
+        [cg.freeze() for cg in cgs],
+        defect=[int(p.get("defect", 1)) for p in params],
+        recorders=recs,
+        return_exceptions=True,
     )
-    return ColoringResult(classes), metrics, palette
-
-
-def _run_linial_faulty_vectorized(cg, params, recorder=None):
-    from ..sim.vectorized import linial_vectorized
-
-    return linial_vectorized(
-        cg.freeze(),
-        defect=int(params.get("defect", 0)),
-        recorder=recorder,
-        faults=_fault_plan(params),
-    )
+    return _unless_failed(outs, lambda o: (ColoringResult(o[0]), o[1], o[2]))
 
 
 def _run_linial_reference(graph, params, recorder=None):
@@ -422,12 +450,16 @@ def _fk24_cell_config(graph, params):
     return lists, space, defect
 
 
-def _run_fk24_vectorized(cg, params, recorder=None, *, config):
-    from ..sim.vectorized import fk24_vectorized
+def _run_fk24_vectorized(cgs, params, recs, configs):
+    from ..sim.batch import fk24_vectorized_batch
 
-    lists, space, defect = config
-    return fk24_vectorized(
-        cg.freeze(), lists=lists, space_size=space, defect=defect, recorder=recorder
+    return fk24_vectorized_batch(
+        [cg.freeze() for cg in cgs],
+        lists=[c[0] for c in configs],
+        space_size=[c[1] for c in configs],
+        defect=[c[2] for c in configs],
+        recorders=recs,
+        return_exceptions=True,
     )
 
 
@@ -441,6 +473,10 @@ def _run_fk24_reference(graph, params, recorder=None, *, config):
     return res, metrics, palette
 
 
+#: The engine fast paths, each a runner over k cells.  A worker batch whose
+#: pending cells share one of these algorithms runs them as one
+#: block-diagonal execution (:func:`compute_cells_batched`); a lone cell
+#: runs through the same runner (:func:`compute_cell`).
 FAST_PATHS: dict[str, Callable] = {
     "linial_vectorized": _run_linial_vectorized,
     "classic_vectorized": _run_classic_vectorized,
@@ -450,21 +486,6 @@ FAST_PATHS: dict[str, Callable] = {
     "fk24_vectorized": _run_fk24_vectorized,
 }
 
-
-def _batchable_algorithms() -> tuple[str, ...]:
-    from ..sim.backends import batchable_sweep_algorithms
-
-    return batchable_sweep_algorithms()
-
-
-#: Fast paths with a block-diagonal batched twin (:mod:`repro.sim.batch`).
-#: Derived from the backend registry
-#: (:func:`repro.sim.backends.batchable_sweep_algorithms`) so a backend
-#: declaring an algorithm ``batched`` is the single source of truth.  A
-#: worker batch whose pending cells share one of these algorithms runs
-#: them as a single block-diagonal execution (see
-#: :func:`compute_cells_batched`) instead of looping `compute_cell`.
-BATCHABLE_ALGORITHMS: tuple[str, ...] = _batchable_algorithms()
 
 #: Recorder-aware reference twins of the fast paths.  ``classic`` shadows
 #: the registry entry of the same name so sweep cells get per-round
@@ -552,53 +573,96 @@ def _ok_record(
     return record
 
 
+def _run_fast(
+    cells: Sequence[SweepCell], cgs: Sequence[_CellGraph], *, quarantine: bool
+) -> list[dict[str, Any]]:
+    """Run the cells' shared :data:`FAST_PATHS` algorithm over them in one
+    call and return one record per cell.
+
+    Each cell's CSR is frozen once, under its recorder's ``csr_build``
+    phase, and serves the kernel, the record's ``n``/``m``/``delta`` and
+    the validation (an fk24 cell likewise builds its lists once, for its
+    run and its validation).  ``wall_s`` is the wall time of the whole
+    call, less any networkx graph builds; ``batched_with`` is the cell
+    count.  A cell whose run raised becomes its :func:`failed_record`
+    with ``quarantine``, and otherwise the first such error is raised.
+    """
+    from ..obs import RunRecorder
+    from ..sim.backends import backend_of_sweep_algorithm
+
+    algorithm = cells[0].algorithm
+    engine = backend_of_sweep_algorithm(algorithm).engine
+    params = [dict(cell.spec()["algo_params"]) for cell in cells]
+    recs = [RunRecorder(engine=engine, algorithm=algorithm) for _ in cells]
+    t0 = time.perf_counter()
+    for cg, rec in zip(cgs, recs):
+        with rec.profiler.phase("csr_build"):
+            cg.freeze()
+    configs = [
+        _fk24_cell_config(cg.freeze(), p) if _is_fk24(algorithm) else None
+        for cg, p in zip(cgs, params)
+    ]
+    outcomes = FAST_PATHS[algorithm](cgs, params, recs, configs)
+    wall = time.perf_counter() - t0 - sum(cg.graph_build_s for cg in cgs)
+    records = []
+    for cell, cg, p, config, rec, outcome in zip(
+        cells, cgs, params, configs, recs, outcomes
+    ):
+        if not isinstance(outcome, BaseException):
+            records.append(
+                _ok_record(
+                    cell, cg.freeze(), outcome, p, config, rec,
+                    wall_s=wall, batched_with=len(cells),
+                )
+            )
+        elif quarantine:
+            records.append(
+                failed_record(cell, outcome, wall_s=wall, batched_with=len(cells))
+            )
+        else:
+            raise outcome
+    return records
+
+
 def compute_cell(cell: SweepCell) -> dict[str, Any]:
     """Build the cell's graph, run its algorithm, and return the record.
 
-    The graph is frozen into one :class:`~repro.sim.engine.CSRGraph`,
-    which the fast-path kernel, the record's ``n``/``m``/``delta`` and
-    the validation all share (an fk24 cell likewise builds its lists
-    once, for its run and its validation).  A family with an edge emitter
-    is frozen straight from its edges; its networkx graph is built only
-    if the cell's path asks for one (reference, registry and greedy
-    paths), and that build, like the edge generation, stays out of
-    ``wall_s``.  Fast-path and reference-path cells run under a
-    :class:`~repro.obs.RunRecorder`, so the record carries the full
-    per-round :class:`~repro.obs.RunRecord` (``run_record``) and the
-    profiler's phase timings (``timings``); registry-only algorithms set
-    both to their empty values.  Raises propagate — quarantine into
-    :func:`failed_record` is the *batch* layer's job, so direct callers
-    still see real exceptions.
+    A :data:`FAST_PATHS` cell is the one-cell call of its runner
+    (:func:`_run_fast`).  A family with an edge emitter is frozen straight
+    from its edges; its networkx graph is built only if the cell's path
+    asks for one (reference, registry and greedy paths), and that build,
+    like the edge generation, stays out of ``wall_s``.  Fast-path and
+    reference-path cells run under a :class:`~repro.obs.RunRecorder`, so
+    the record carries the full per-round :class:`~repro.obs.RunRecord`
+    (``run_record``) and the profiler's phase timings (``timings``);
+    registry-only algorithms set both to their empty values.  Raises
+    propagate — quarantine into :func:`failed_record` is the *batch*
+    layer's job, so direct callers still see real exceptions.
     """
     from ..algorithms import registry
     from ..obs import RunRecorder
     from ..sim.backends import backend_of_sweep_algorithm
 
-    algo_params = dict(cell.spec()["algo_params"])
     cg = _CellGraph(cell.family, dict(cell.family_params))
+    if cell.algorithm in FAST_PATHS:
+        (record,) = _run_fast([cell], [cg], quarantine=False)
+        return record
 
+    algo_params = dict(cell.spec()["algo_params"])
     t0 = time.perf_counter()
     palette = None
     recorder = None
     config = None
     extra: dict[str, Any] = {}
-    if cell.algorithm not in FAST_PATHS and cell.algorithm not in REFERENCE_PATHS:
+    if cell.algorithm not in REFERENCE_PATHS:
         result, metrics = registry.run(cell.algorithm, cg.graph)
     else:
         engine = backend_of_sweep_algorithm(cell.algorithm).engine
         recorder = RunRecorder(engine=engine, algorithm=cell.algorithm)
-        if cell.algorithm in FAST_PATHS:
-            # one freeze serves the kernel, the cell's delta and its validation
-            with recorder.profiler.phase("csr_build"):
-                topology = cg.freeze()
-            runner, runner_input = FAST_PATHS[cell.algorithm], cg
-        else:
-            topology = runner_input = cg.graph
-            runner = REFERENCE_PATHS[cell.algorithm]
         kw = {}
         if _is_fk24(cell.algorithm):
-            config = kw["config"] = _fk24_cell_config(topology, algo_params)
-        out = runner(runner_input, algo_params, recorder, **kw)
+            config = kw["config"] = _fk24_cell_config(cg.graph, algo_params)
+        out = REFERENCE_PATHS[cell.algorithm](cg.graph, algo_params, recorder, **kw)
         if len(out) == 4:  # resilient path also returns restart info
             result, metrics, palette, info = out
             extra["resilience"] = info
@@ -653,109 +717,24 @@ def failed_record(
     return record
 
 
-def _run_batched(
-    algorithm: str, built: list[tuple], fk24_configs: list[tuple | None]
-) -> list[Any]:
-    """Run one batchable algorithm over pre-built ``(cell, cell graph,
-    params, recorder)`` tuples; one ``(result, metrics, palette)`` or
-    exception per cell, matching :data:`FAST_PATHS` output cell for cell.
-    An fk24 batch runs on ``fk24_configs``, one :func:`_fk24_cell_config`
-    per cell."""
-    from ..core.coloring import ColoringResult
-    from ..core.instance import delta_plus_one_instance
-    from ..sim.batch import (
-        classic_delta_plus_one_vectorized_batch,
-        defective_split_vectorized_batch,
-        greedy_list_vectorized_batch,
-        linial_vectorized_batch,
-    )
-
-    gs = [cg.graph for _, cg, _, _ in built]
-    params_list = [params for _, _, params, _ in built]
-    recs = [rec for _, _, _, rec in built]
-    if algorithm == "linial_vectorized":
-        return linial_vectorized_batch(
-            gs,
-            defect=[int(p.get("defect", 0)) for p in params_list],
-            recorders=recs,
-            return_exceptions=True,
-        )
-    if algorithm == "linial_faulty_vectorized":
-        return linial_vectorized_batch(
-            gs,
-            defect=[int(p.get("defect", 0)) for p in params_list],
-            recorders=recs,
-            faults=[_fault_plan(p) for p in params_list],
-            return_exceptions=True,
-        )
-    if algorithm == "classic_vectorized":
-        outs = classic_delta_plus_one_vectorized_batch(
-            gs, recorders=recs, return_exceptions=True
-        )
-        return [
-            o if isinstance(o, BaseException) else (o[0], o[1], None)
-            for o in outs
-        ]
-    if algorithm == "greedy_vectorized":
-        instances = [delta_plus_one_instance(g) for g in gs]
-        outs = greedy_list_vectorized_batch(instances, return_exceptions=True)
-        normalized: list[Any] = []
-        for g, rec, inst, o in zip(gs, recs, instances, outs):
-            if isinstance(o, BaseException):
-                normalized.append(o)
-                continue
-            space = inst.space.size
-            n, m = g.number_of_nodes(), g.number_of_edges()
-            normalized.append(
-                (o, _announce_coloring_metrics(n, m, space, rec), space)
-            )
-        return normalized
-    if algorithm == "defective_split":
-        outs = defective_split_vectorized_batch(
-            gs,
-            defect=[int(p.get("defect", 1)) for p in params_list],
-            recorders=recs,
-            return_exceptions=True,
-        )
-        return [
-            o
-            if isinstance(o, BaseException)
-            else (ColoringResult(o[0]), o[1], o[2])
-            for o in outs
-        ]
-    if algorithm == "fk24_vectorized":
-        from ..sim.batch import fk24_vectorized_batch
-
-        return fk24_vectorized_batch(
-            gs,
-            lists=[c[0] for c in fk24_configs],
-            space_size=[c[1] for c in fk24_configs],
-            defect=[c[2] for c in fk24_configs],
-            recorders=recs,
-            return_exceptions=True,
-        )
-    raise ValueError(f"algorithm {algorithm!r} has no batched path")
-
-
 def compute_cells_batched(cells: Sequence[SweepCell]) -> list[dict[str, Any]]:
     """Compute same-algorithm cells as one block-diagonal batched run.
 
-    The cells' graphs are packed into a single
-    :class:`~repro.sim.batch.BatchCSRGraph` execution; per-cell records
-    come back identical to :func:`compute_cell`'s except for the clock
-    fields: ``wall_s`` is the *actual* wall time of the whole batched
-    engine invocation (not an even split — splitting fabricated per-cell
-    times that no clock ever measured), ``batched_with`` records how many
-    cells shared that invocation (so per-cell cost is
-    ``wall_s / batched_with``), and ``timings`` are the shared batch
-    phases.  Per-cell quarantine is preserved: a cell whose graph build
-    or in-batch run raises (e.g. a crash-stop
+    The many-cell call of the algorithm's :data:`FAST_PATHS` runner: the
+    cells' CSRs are packed into a single
+    :class:`~repro.sim.batch.BatchCSRGraph` execution, and a
+    ``random_regular`` cell of any fast path but greedy builds no networkx
+    graph.  Per-cell records come back identical to :func:`compute_cell`'s
+    except for the clock fields: ``wall_s`` is the *actual* wall time of
+    the whole batched engine invocation (not an even split — splitting
+    fabricated per-cell times that no clock ever measured),
+    ``batched_with`` records how many cells shared that invocation (so
+    per-cell cost is ``wall_s / batched_with``), and ``timings`` are the
+    shared batch phases.  Per-cell quarantine is preserved: a cell whose
+    graph build or in-batch run raises (e.g. a crash-stop
     :class:`~repro.sim.node.HaltingError`) yields its
     :func:`failed_record` while sibling cells still land ``ok``.
     """
-    from ..obs import RunRecorder
-    from ..sim.backends import backend_of_sweep_algorithm
-
     algorithms = {cell.algorithm for cell in cells}
     if len(algorithms) != 1:
         raise ValueError(
@@ -763,52 +742,22 @@ def compute_cells_batched(cells: Sequence[SweepCell]) -> list[dict[str, Any]]:
             f"{sorted(algorithms)}"
         )
     (algorithm,) = algorithms
-    if algorithm not in BATCHABLE_ALGORITHMS:
+    if algorithm not in FAST_PATHS:
         raise ValueError(f"algorithm {algorithm!r} has no batched path")
 
     out: list[dict[str, Any] | None] = [None] * len(cells)
-    built: list[tuple] = []  # (cell, cell graph, params, recorder) per ok build
-    positions: list[int] = []
+    built: list[tuple[int, SweepCell, _CellGraph]] = []
     for pos, cell in enumerate(cells):
         t0 = time.perf_counter()
         try:
-            cg = _CellGraph(cell.family, dict(cell.family_params))
-            cg.graph  # the batched kernels pack networkx graphs
+            built.append((pos, cell, _CellGraph(cell.family, dict(cell.family_params))))
         except Exception as exc:
             out[pos] = failed_record(cell, exc, wall_s=time.perf_counter() - t0)
-            continue
-        params = dict(cell.spec()["algo_params"])
-        engine = backend_of_sweep_algorithm(algorithm).engine
-        rec = RunRecorder(engine=engine, algorithm=algorithm)
-        built.append((cell, cg, params, rec))
-        positions.append(pos)
     if built:
-        t0 = time.perf_counter()
-        configs = (
-            [_fk24_cell_config(cg.graph, params) for _, cg, params, _ in built]
-            if _is_fk24(algorithm)
-            else [None] * len(built)
-        )
-        outcomes = _run_batched(algorithm, built, configs)
-        wall = time.perf_counter() - t0
-        for pos, (cell, cg, params, rec), config, outcome in zip(
-            positions, built, configs, outcomes
-        ):
-            if isinstance(outcome, BaseException):
-                out[pos] = failed_record(
-                    cell, outcome, wall_s=wall, batched_with=len(built)
-                )
-                continue
-            out[pos] = _ok_record(
-                cell,
-                cg.freeze(),
-                outcome,
-                params,
-                config,
-                rec,
-                wall_s=wall,
-                batched_with=len(built),
-            )
+        positions, built_cells, cgs = zip(*built)
+        records = _run_fast(built_cells, cgs, quarantine=True)
+        for pos, record in zip(positions, records):
+            out[pos] = record
     return out  # type: ignore[return-value]
 
 
@@ -921,7 +870,7 @@ def _compute_batch(
     resumes where the dead worker stopped instead of starting over.
 
     Cells that survive the cache probe and share a
-    :data:`BATCHABLE_ALGORITHMS` algorithm run together as one
+    :data:`FAST_PATHS` algorithm run together as one
     block-diagonal :func:`compute_cells_batched` execution (cached cells
     are excluded from the packing — no recompute); everything else falls
     back to the per-cell loop.  Either way, a cell whose computation
@@ -950,7 +899,7 @@ def _compute_batch(
     groups: dict[str, list[int]] = {}
     singles: list[int] = []
     for i in pending:
-        if cells[i].algorithm in BATCHABLE_ALGORITHMS:
+        if cells[i].algorithm in FAST_PATHS:
             groups.setdefault(cells[i].algorithm, []).append(i)
         else:
             singles.append(i)

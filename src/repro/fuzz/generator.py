@@ -180,18 +180,18 @@ def generate_case(
 
     if pair == "linial":
         defect = rng.choice([0, 0, 0, 1, 2, 3])
+        # The Linial schedule is empty when the initial color space sits
+        # at or below its fixed point — which it does for most small fuzz
+        # graphs — and a fault plan only bites when rounds actually run.
+        # Explicit initial colors are spread far past the fixed point so
+        # those cases exercise nonempty schedules.
+        span = 40 * (len(nodes) + 1)
         if rng.random() < 0.5:
             # explicit proper input coloring with gaps, unsorted values
-            palette = rng.sample(range(4 * len(nodes) + 4), len(nodes))
+            palette = rng.sample(range(span), len(nodes))
             initial_colors = {v: palette[i] for i, v in enumerate(nodes)}
         if rng.random() < 0.4:
             fault = _draw_fault(rng)
-            # A fault plan only bites when rounds actually run, and the
-            # Linial schedule is empty when the initial color space sits
-            # at or below its fixed point — which it does for most small
-            # fuzz graphs.  Spread the initial colors far past the fixed
-            # point so fault cases exercise nonempty schedules.
-            span = 40 * (len(nodes) + 1)
             palette = rng.sample(range(span), len(nodes))
             initial_colors = {v: palette[i] for i, v in enumerate(nodes)}
     elif pair == "defective_split":

@@ -12,9 +12,10 @@ capabilities (``supports_faults``, ``supports_batch``,
 sweep algorithm names and batchability it provides.  Consumers resolve
 through the registry:
 
-* the sweep derives :data:`~repro.experiments.sweep.BATCHABLE_ALGORITHMS`
-  from :func:`batchable_sweep_algorithms` and picks each cell's recorder
-  engine label via :func:`backend_of_sweep_algorithm`;
+* the sweep picks each cell's recorder engine label via
+  :func:`backend_of_sweep_algorithm`, and the registry tests hold
+  :func:`batchable_sweep_algorithms` equal to the sweep's
+  :data:`~repro.experiments.sweep.FAST_PATHS`;
 * the fuzz runner resolves its pair registry per backend through
   :func:`repro.fuzz.differential.pairs_for_backend` and its batched
   dispatch by name + value equality (never identity);
@@ -301,9 +302,9 @@ def require(
 def batchable_sweep_algorithms() -> tuple[str, ...]:
     """Every sweep algorithm name some backend declares batchable.
 
-    This is the registry-derived source of
-    :data:`repro.experiments.sweep.BATCHABLE_ALGORITHMS`; order follows
-    registry declaration order, deduplicated.
+    Every one has a runner in :data:`repro.experiments.sweep.FAST_PATHS`,
+    which batches them (``tests/test_registry.py`` holds the two equal);
+    order follows registry declaration order, deduplicated.
     """
     out: list[str] = []
     for spec in BACKENDS.values():

@@ -93,11 +93,11 @@ class TestBackendRegistry:
             backend_of_sweep_algorithm("linial_quantum")
 
     def test_batchable_sweep_algorithms_drive_sweep(self):
-        from repro.experiments.sweep import BATCHABLE_ALGORITHMS
+        from repro.experiments.sweep import FAST_PATHS
         from repro.sim.backends import batchable_sweep_algorithms
 
         derived = batchable_sweep_algorithms()
-        assert BATCHABLE_ALGORITHMS == derived
+        assert set(derived) == set(FAST_PATHS)
         assert "linial_vectorized" in derived
 
     def test_describe_reports_availability(self):

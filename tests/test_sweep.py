@@ -78,23 +78,34 @@ class TestCells:
 
 
 def _count_freezes(monkeypatch) -> list:
-    """Record every CSR build from now on, by either constructor
-    (``CSRGraph.from_networkx`` or ``CSRGraph.from_edges``)."""
+    """Record every CSR build from now on: by either constructor
+    (``CSRGraph.from_networkx`` or ``CSRGraph.from_edges``), and one
+    ``from_graphs`` entry per member that ``BatchCSRGraph.from_graphs``
+    freezes in one pass (a batch holding any CSR freezes its networkx
+    members through ``from_networkx`` instead)."""
+    from repro.sim.batch import BatchCSRGraph
     from repro.sim.engine import CSRGraph
 
     calls = []
 
-    def spy_on(name):
-        real = getattr(CSRGraph, name).__func__
+    def spy_on(owner, name, count):
+        real = getattr(owner, name).__func__
 
         def spy(cls, *args):
-            calls.append(name)
+            calls.extend([name] * count(*args))
             return real(cls, *args)
 
-        monkeypatch.setattr(CSRGraph, name, classmethod(spy))
+        monkeypatch.setattr(owner, name, classmethod(spy))
 
-    spy_on("from_networkx")
-    spy_on("from_edges")
+    spy_on(CSRGraph, "from_networkx", lambda *_: 1)
+    spy_on(CSRGraph, "from_edges", lambda *_: 1)
+    spy_on(
+        BatchCSRGraph,
+        "from_graphs",
+        lambda graphs: 0
+        if any(isinstance(g, CSRGraph) for g in graphs)
+        else len(graphs),
+    )
     return calls
 
 
@@ -236,6 +247,47 @@ class TestSingleFreeze:
         classic_delta_plus_one_vectorized(graph)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            "linial_vectorized",
+            "linial_faulty_vectorized",
+            "classic_vectorized",
+            "fk24_vectorized",
+            "defective_split",
+        ],
+    )
+    def test_batched_random_regular_cells_build_no_networkx_graph(
+        self, monkeypatch, algorithm
+    ):
+        from repro.experiments.sweep import compute_cells_batched
+
+        params = {"faults": {"seed": 3, "p_drop": 0.2}} if "faulty" in algorithm else {}
+        cells = [
+            SweepCell.make(
+                "random_regular", {"n": 120, "degree": 6, "seed": s}, algorithm, params
+            )
+            for s in range(3)
+        ]
+        graphs = _count_networkx_graphs(monkeypatch)
+        freezes = _count_freezes(monkeypatch)
+        records = compute_cells_batched(cells)
+        assert [r["valid"] for r in records] == [True] * 3
+        assert graphs == []
+        assert freezes == ["from_edges"] * 3
+
+    def test_classic_batch_takes_frozen_members(self):
+        from repro.graphs import ring
+        from repro.sim.batch import classic_delta_plus_one_vectorized_batch
+        from repro.sim.engine import CSRGraph
+
+        (frozen,) = classic_delta_plus_one_vectorized_batch(
+            [CSRGraph.from_networkx(ring(6))]
+        )
+        (plain,) = classic_delta_plus_one_vectorized_batch([ring(6)])
+        assert frozen[0].assignment == plain[0].assignment
+        assert frozen[1].summary() == plain[1].summary()
+
 
 def _tamper_first_node(result, lists):
     """``result`` with its first node recolored to a fresh color outside
@@ -253,23 +305,11 @@ class TestFk24ListMembership:
 
     CELL = {"n": 60, "degree": 4, "seed": 2}
 
-    def test_compute_cell_rejects_off_list_color(self, monkeypatch):
-        import repro.sim.vectorized as vec
-
-        real = vec.fk24_vectorized
-
-        def tampered(graph, lists=None, **kwargs):
-            result, metrics, palette = real(graph, lists=lists, **kwargs)
-            return _tamper_first_node(result, lists), metrics, palette
-
-        cell = SweepCell.make("random_regular", self.CELL, "fk24_vectorized")
-        assert compute_cell(cell)["valid"] is True
-        monkeypatch.setattr(vec, "fk24_vectorized", tampered)
-        assert compute_cell(cell)["valid"] is False
-
-    def test_batched_cells_reject_off_list_color(self, monkeypatch):
+    @staticmethod
+    def _tamper_driver(monkeypatch):
+        """Patch the fk24 batched driver, which every fk24 fast-path cell
+        runs through, to recolor the first instance's first node."""
         import repro.sim.batch as batch
-        from repro.experiments.sweep import compute_cells_batched
 
         real = batch.fk24_vectorized_batch
 
@@ -279,11 +319,22 @@ class TestFk24ListMembership:
             outs[0] = (_tamper_first_node(res, lists[0]), metrics, palette)
             return outs
 
+        monkeypatch.setattr(batch, "fk24_vectorized_batch", tampered)
+
+    def test_compute_cell_rejects_off_list_color(self, monkeypatch):
+        cell = SweepCell.make("random_regular", self.CELL, "fk24_vectorized")
+        assert compute_cell(cell)["valid"] is True
+        self._tamper_driver(monkeypatch)
+        assert compute_cell(cell)["valid"] is False
+
+    def test_batched_cells_reject_off_list_color(self, monkeypatch):
+        from repro.experiments.sweep import compute_cells_batched
+
         cells = [
             SweepCell.make("random_regular", dict(self.CELL, seed=s), "fk24_vectorized")
             for s in (2, 3)
         ]
-        monkeypatch.setattr(batch, "fk24_vectorized_batch", tampered)
+        self._tamper_driver(monkeypatch)
         records = compute_cells_batched(cells)
         assert [r["valid"] for r in records] == [False, True]
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.sweep import (
-    BATCHABLE_ALGORITHMS,
+    FAST_PATHS,
     SweepCell,
     _compute_batch,
     compute_cell,
@@ -83,7 +83,7 @@ def crash_stop_cell():
 
 
 class TestBatchedRecordsMatchPerCell:
-    @pytest.mark.parametrize("algorithm", BATCHABLE_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", sorted(FAST_PATHS))
     def test_record_equality_modulo_clock(self, algorithm):
         cells = cells_for(algorithm)
         batched = compute_cells_batched(cells)

@@ -2,6 +2,7 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ColorSpace
 from repro.core.coloring import ColoringResult, EdgeOrientation
@@ -598,6 +599,19 @@ def _random_list_instance(g, rng):
     return ListDefectiveInstance(g, ColorSpace(4), lists, defects)
 
 
+@st.composite
+def _loop_free_graphs(draw):
+    """Loop-free graphs on gappy, unsorted integer labels; labels no drawn
+    edge touches stay isolated."""
+    labels = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=30, unique=True))
+    node = st.sampled_from(labels)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=80))
+    g = nx.Graph()
+    g.add_nodes_from(labels)
+    g.add_edges_from((u, v) for u, v in pairs if u != v)
+    return g
+
+
 class TestBothWays:
     """An edge oriented both ways is not a list arbdefective orientation."""
 
@@ -622,7 +636,9 @@ class TestBothWays:
         assert not validate_arbdefective_plain(g, res, 0).ok  # the loop is same-colored
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_validators_agree_with_the_sweep_check(self, seed):
+    @settings(max_examples=25, deadline=None)
+    @given(g=_loop_free_graphs())
+    def test_validators_agree_with_the_sweep_check(self, seed, g):
         import random
 
         from repro.algorithms.fk24 import fk24_lists
@@ -631,7 +647,7 @@ class TestBothWays:
 
         rng = random.Random(seed)
         defect = rng.randint(0, 2)
-        g = gnp(rng.randint(2, 40), rng.choice([0.1, 0.3]), seed=seed)
+        csr = CSRGraph.from_networkx(g)
         lists, space = fk24_lists(g, defect, seed=seed)
         inst = ListDefectiveInstance(
             g,
@@ -639,7 +655,6 @@ class TestBothWays:
             dict(lists),
             {v: {x: defect for x in lst} for v, lst in lists.items()},
         )
-        csr = CSRGraph.from_networkx(g)
         out = fk24_vectorized(g, lists=lists, space_size=space, defect=defect)[0]
         assignments = [out.assignment]
         recolored = dict(out.assignment)
@@ -655,6 +670,18 @@ class TestBothWays:
                 assert validate_arbdefective_plain(g, res, defect).ok == sweep
                 verdicts.add(sweep)
         assert True in verdicts  # the kernel's own output passes
+
+        # the defective check: a Linial run's own output, then recolored
+        own = linial_vectorized(g, defect=defect)[0].assignment
+        recolored = dict(own)
+        for v in rng.sample(list(g.nodes), min(3, g.number_of_nodes())):
+            recolored[v] = own[rng.choice(list(g.nodes))]
+        for assignment in (own, recolored):
+            got = validate_defective_csr(csr, assignment, defect)
+            want = validate_defective_coloring(g, ColoringResult(assignment), defect)
+            assert (got.ok, got.max_defect_seen) == (want.ok, want.max_defect_seen)
+            assert sorted(got.violations) == sorted(want.violations)
+        assert validate_defective_csr(csr, own, defect).ok
 
 
 class TestIndependentOfEngines:

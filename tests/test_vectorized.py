@@ -208,17 +208,25 @@ class TestDefectiveSplitVectorized:
         # validate, so the validation could silently diverge from the graph
         # the run actually used.  One build, threaded everywhere.
         from repro.sim import vectorized as vec_mod
+        from repro.sim.batch import BatchCSRGraph
         from repro.sim.engine import CSRGraph
 
         real = CSRGraph.from_networkx
+        real_batch = BatchCSRGraph.from_graphs.__func__
         calls = []
 
         def counting(graph):
             calls.append(graph)
             return real(graph)
 
-        # vectorized.py imports the same class object, so one patch covers it
+        def counting_batch(cls, graphs):
+            # a one-pass batch freeze builds its members without from_networkx
+            if not any(isinstance(g, CSRGraph) for g in graphs):
+                calls.extend(graphs)
+            return real_batch(cls, graphs)
+
         monkeypatch.setattr(CSRGraph, "from_networkx", staticmethod(counting))
+        monkeypatch.setattr(BatchCSRGraph, "from_graphs", classmethod(counting_batch))
         g = random_regular(60, 6, seed=5)
         classes, metrics, palette = vec_mod.defective_split_vectorized(g, defect=2)
         assert len(calls) == 1
