@@ -220,9 +220,9 @@ class _CellGraph:
     A family with an edge emitter (:func:`repro.graphs.family_edges`) is
     generated as an edge array, which :meth:`freeze` turns straight into a
     :class:`~repro.sim.engine.CSRGraph`.  :attr:`graph` builds the
-    networkx graph from the same edges on first use and adds the build
-    time to ``graph_build_s``, so a cell can keep graph construction out
-    of ``wall_s``.  Any other family is built as a networkx graph here.
+    networkx graph from the same edges on first use, memoizes that CSR as
+    its freeze, and adds the time to ``graph_build_s``, so a cell can keep
+    graph construction out of ``wall_s``.  Any other family is built as a networkx graph here.
     """
 
     def __init__(self, family: str, params: Mapping[str, Any]) -> None:
@@ -238,12 +238,17 @@ class _CellGraph:
 
     @property
     def graph(self):
-        """The cell's networkx graph, built on first use."""
+        """The cell's networkx graph, built on first use.  One built from
+        emitted edges memoizes the CSR :meth:`freeze` gives, which
+        ``family_edges`` guarantees equal to its own freeze, so no later
+        freeze of it walks its adjacency."""
         if self._graph is None:
             from .. import graphs
+            from ..sim.engine import memoize_csr
 
             t0 = time.perf_counter()
             self._graph = graphs.family_from_edges(self.family, *self._emitted)
+            memoize_csr(self._graph, self.freeze())
             self.graph_build_s += time.perf_counter() - t0
         return self._graph
 
@@ -334,9 +339,7 @@ def _run_greedy_vectorized(cgs, params, recs, configs):
 
     csrs = [cg.freeze() for cg in cgs]
     instances = [delta_plus_one_instance(cg.graph) for cg in cgs]
-    outs = greedy_list_vectorized_batch(
-        instances, return_exceptions=True, _csrs=csrs
-    )
+    outs = greedy_list_vectorized_batch(instances, return_exceptions=True)
     return [
         o
         if isinstance(o, BaseException)

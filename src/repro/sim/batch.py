@@ -84,6 +84,8 @@ from .engine import (
     collision_counts,
     equal_neighbor_counts,
     match_counts,
+    memoize_csr,
+    memoized_csr,
     pack_lists,
     poly_digits,
     poly_eval_grid,
@@ -198,22 +200,34 @@ class BatchCSRGraph:
     def from_graphs(cls, graphs: Sequence[Any]) -> "BatchCSRGraph":
         """Freeze k ``networkx`` graphs into one block-diagonal batch.
 
-        One pass over every member's adjacency and one global ``argsort``
-        / ``bincount`` over their edges replace k per-graph freezes, so
-        the fixed numpy dispatch cost of freezing amortizes across the
-        whole batch — for many small instances this is where batching
-        starts paying, before the first round kernel even runs.  The member
-        :class:`~repro.sim.engine.CSRGraph`\\ s carved back out of the
-        global arrays are value-identical to
-        :meth:`CSRGraph.from_networkx` on each graph (same stable-sort
-        edge order), so per-instance fallbacks and sub-batches see
-        exactly what a per-graph freeze would have produced.  Members that
-        are already frozen :class:`~repro.sim.engine.CSRGraph`\\ s are used
-        as they are: a batch holding any is packed member by member
-        (:meth:`from_csrs`), freezing only its networkx members.
+        Members that are already frozen :class:`~repro.sim.engine.CSRGraph`\\ s,
+        and networkx graphs whose CSR is memoized
+        (:func:`~repro.sim.engine.memoized_csr`), are used as they are.
+        The rest are frozen jointly: one pass over their adjacencies and
+        one global ``argsort`` / ``bincount`` over their edges replace
+        per-graph freezes, so the fixed numpy dispatch cost of freezing
+        amortizes across the batch — for many small instances this is
+        where batching starts paying, before the first round kernel even
+        runs.  The member CSRs carved back out of the global arrays are
+        value-identical to :meth:`CSRGraph.from_networkx` on each graph
+        (same stable-sort edge order), and each is memoized as that
+        graph's freeze.
         """
-        if any(isinstance(g, CSRGraph) for g in graphs):
-            return cls([as_csr(g) for g in graphs])
+        members = [g if isinstance(g, CSRGraph) else memoized_csr(g) for g in graphs]
+        todo = [j for j, m in enumerate(members) if m is None]
+        if not todo:
+            return cls(members)
+        joint = cls._freeze_jointly([graphs[j] for j in todo])
+        if len(todo) == len(members):
+            return joint
+        for j, member in zip(todo, joint.members):
+            members[j] = member
+        return cls(members)
+
+    @classmethod
+    def _freeze_jointly(cls, graphs: Sequence[Any]) -> "BatchCSRGraph":
+        """The batch of networkx ``graphs``, frozen in one pass and each
+        member memoized as its graph's freeze."""
         nodes_list, index_list, node_offsets, edges = _networkx_edges(graphs)
         k = len(nodes_list)
         n_total = int(node_offsets[-1])
@@ -229,17 +243,20 @@ class BatchCSRGraph:
         for j in range(k):
             n0, n1 = node_bounds[j], node_bounds[j + 1]
             e0, e1 = edge_bounds[j], edge_bounds[j + 1]
-            members.append(
-                CSRGraph(
-                    n1 - n0,
-                    nodes_list[j],
-                    index_list[j],
-                    _shift(indptr[n0 : n1 + 1], -e0),
-                    _shift(indices[e0:e1], -n0),
-                    src=_shift(src[e0:e1], -n0),
-                )
+            member = CSRGraph(
+                n1 - n0,
+                nodes_list[j],
+                index_list[j],
+                _shift(indptr[n0 : n1 + 1], -e0),
+                _shift(indices[e0:e1], -n0),
+                src=_shift(src[e0:e1], -n0),
             )
+            memoize_csr(graphs[j], member)
+            members.append(member)
 
+        # member 0's arrays are views of these: keep them read-only too
+        for a in (indptr, indices, src):
+            a.flags.writeable = False
         batch = cls(members)
         batch._arrays = (indptr, indices, src)
         return batch
@@ -1366,7 +1383,6 @@ def _greedy_refusal(instance) -> ValueError | None:
 def greedy_list_vectorized(
     instance,
     order: list[int] | None = None,
-    _csr: CSRGraph | None = None,
 ) -> ColoringResult:
     """Fast path for :func:`repro.algorithms.greedy.greedy_list_coloring`
     on **zero-defect** list instances (the (degree+1)-list case).
@@ -1381,13 +1397,12 @@ def greedy_list_vectorized(
 
     Raises ``ValueError`` on directed instances, on nonzero defects (the
     reference's budget semantics are inherently sequential), and when the
-    greedy gets stuck.  ``_csr`` (internal) reuses an already-built CSR of
-    ``instance.graph``.
+    greedy gets stuck.
     """
     refusal = _greedy_refusal(instance)
     if refusal is not None:
         raise refusal
-    csr = _csr if _csr is not None else CSRGraph.from_networkx(instance.graph)
+    csr = CSRGraph.from_networkx(instance.graph)
     list_indptr, list_values = ragged_lists(csr, instance.lists)
     final = np.full(csr.n, -1, dtype=np.int64)
     # Default order is *sorted node labels* — the reference greedy's
@@ -1411,7 +1426,6 @@ def greedy_list_vectorized(
 def greedy_list_vectorized_batch(
     instances: Sequence[Any],
     return_exceptions: bool = False,
-    _csrs: Sequence[CSRGraph] | None = None,
 ) -> list:
     """Batched twin of :func:`greedy_list_vectorized` (zero-defect list
     instances, default sorted-label order).
@@ -1426,10 +1440,8 @@ def greedy_list_vectorized_batch(
     fails with the identical ``ValueError`` and stops; siblings keep
     coloring.  Returns one :class:`~repro.core.coloring.ColoringResult`
     per instance (or the exception, with ``return_exceptions=True``).
-    ``_csrs`` (internal) are already-built CSRs of the instances' graphs.
     """
     k = len(instances)
-    csrs = _seq_arg(_csrs, k, "_csrs")
     if k == 1:
         # One instance runs the plain per-node scan: a wave pays several
         # times the numpy calls of one scan step, and a lone instance has
@@ -1440,7 +1452,7 @@ def greedy_list_vectorized_batch(
         # at large n is unmeasured: this boundary covers only the k=1
         # case these numbers show.
         try:
-            results: list = [greedy_list_vectorized(instances[0], _csr=csrs[0])]
+            results: list = [greedy_list_vectorized(instances[0])]
         except ValueError as exc:
             results = [exc]
         return _raise_or_return(results, return_exceptions)
@@ -1449,9 +1461,7 @@ def greedy_list_vectorized_batch(
     results = [None] * k
 
     if valid:
-        batch = BatchCSRGraph.from_graphs(
-            [instances[j].graph if csrs[j] is None else csrs[j] for j in valid]
-        )
+        batch = BatchCSRGraph.from_graphs([instances[j].graph for j in valid])
         list_indptr = np.zeros(batch.n + 1, dtype=np.int64)
         value_parts: list[np.ndarray] = []
         offset = 0

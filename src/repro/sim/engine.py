@@ -18,9 +18,11 @@ This module provides that structure and the primitives every fast path in
   Node labels are mapped through a sorted dense index so fast paths and
   the reference simulator agree on iteration order.  A ``networkx``
   graph is frozen from ``graph.adjacency()`` with one ``np.fromiter``
-  per array and no per-edge Python (:meth:`CSRGraph.from_networkx`); an
-  edge array over labels ``0..n-1`` freezes directly
-  (:meth:`CSRGraph.from_edges`), with no networkx graph at all.
+  per array and no per-edge Python (:meth:`CSRGraph.from_networkx`), and
+  its CSR is memoized in the graph's own ``__networkx_cache__``, which
+  networkx clears on every mutation, so an unchanged graph freezes once
+  (:func:`memoize_csr`); an edge array over labels ``0..n-1`` freezes
+  directly (:meth:`CSRGraph.from_edges`), with no networkx graph at all.
 * ``gather`` / ``scatter`` — move per-node values between the label world
   (dicts keyed by node id) and the dense array world.
 * :func:`collision_counts` / :func:`equal_neighbor_counts` — the
@@ -232,12 +234,14 @@ class CSRGraph:
 
     @classmethod
     def from_networkx(cls, graph: nx.Graph) -> "CSRGraph":
-        """Freeze a ``networkx`` graph into CSR form.
+        """Freeze a ``networkx`` graph into CSR form, once per topology.
 
         Labels are sorted and mapped to dense indices; the edges, read
         off ``graph.adjacency()`` in ``graph.edges`` order (see
         :func:`_networkx_edges`), are frozen by the same
-        :func:`_adjacency` as :meth:`from_edges`.
+        :func:`_adjacency` as :meth:`from_edges`.  The CSR is memoized in
+        the graph's own networkx cache (:func:`memoize_csr`), so a second
+        freeze of an unchanged graph returns the first one's CSR.
 
         Raises ``ValueError`` for directed graphs, multigraphs and
         self-loops: mirroring each arc would silently treat a digraph as
@@ -245,9 +249,13 @@ class CSRGraph:
         caller meant.  Convert explicitly (``graph.to_undirected()``, or
         ``nx.Graph(graph)`` for a multigraph) if that *is* the intent.
         """
-        (nodes,), (index,), _, edges = _networkx_edges([graph])
-        n = len(nodes)
-        return cls(n, nodes, index, *_adjacency(n, edges))
+        csr = memoized_csr(graph)
+        if csr is None:
+            (nodes,), (index,), _, edges = _networkx_edges([graph])
+            n = len(nodes)
+            csr = cls(n, nodes, index, *_adjacency(n, edges))
+            memoize_csr(graph, csr)
+        return csr
 
     # ------------------------------------------------------------------
     @property
@@ -276,6 +284,59 @@ class CSRGraph:
     def scatter(self, values: np.ndarray) -> dict[Any, int]:
         """Label-keyed dict from a dense per-node array (values as ints)."""
         return dict(zip(self.nodes, values.tolist()))
+
+
+# ----------------------------------------------------------------------
+# the freeze memo
+# ----------------------------------------------------------------------
+#: The key of a graph's CSR in its ``__networkx_cache__``.
+_MEMO_KEY = "repro.sim.engine.CSRGraph"
+
+
+def _memo_of(graph: Any) -> dict | None:
+    """The dict a graph's CSR may be memoized in, or ``None``.
+
+    That dict is the graph's ``__networkx_cache__``, which networkx 3.3+
+    clears in every mutating method, so a memo there lives exactly as
+    long as the topology it froze.  networkx below 3.3 has no such cache,
+    and a view (``graph._graph`` set) gets none: mutating the view's
+    parent leaves the view's cache in place.
+    """
+    if getattr(graph, "_graph", None) is not None:
+        return None
+    return getattr(graph, "__networkx_cache__", None)
+
+
+def _read_only(csr: CSRGraph) -> CSRGraph:
+    """``csr`` with its ``indptr``/``indices``/``src`` marked read-only."""
+    for a in (csr.indptr, csr.indices, csr.src):
+        a.flags.writeable = False
+    return csr
+
+
+def memoized_csr(graph: Any) -> CSRGraph | None:
+    """The CSR memoized for ``graph`` by :func:`memoize_csr`, or ``None``.
+
+    The arrays are marked read-only again on every hit: a graph that was
+    pickled or deep-copied carries its memo, but not the arrays' flags.
+    """
+    memo = _memo_of(graph)
+    csr = None if memo is None else memo.get(_MEMO_KEY)
+    return None if csr is None else _read_only(csr)
+
+
+def memoize_csr(graph: Any, csr: CSRGraph) -> None:
+    """Memoize ``csr`` as the freeze of networkx ``graph``.
+
+    ``csr`` must equal what :meth:`CSRGraph.from_networkx` gives for
+    ``graph``.  Its ``indptr``/``indices``/``src`` become read-only, as
+    every later freeze of ``graph`` shares them: a caller writing into one
+    raises instead of corrupting later runs.  A graph :func:`_memo_of`
+    refuses keeps no memo.
+    """
+    memo = _memo_of(graph)
+    if memo is not None:
+        memo[_MEMO_KEY] = _read_only(csr)
 
 
 def as_csr(graph: "nx.Graph | CSRGraph") -> CSRGraph:
@@ -341,6 +402,17 @@ def equal_neighbor_counts(csr: CSRGraph, values: np.ndarray) -> np.ndarray:
     return np.bincount(csr.src[agree], minlength=csr.n)
 
 
+def _match_indices(match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero`` of a 2-D boolean matrix, as ``(rows, cols)``.
+
+    One flat scan plus a ``divmod`` beats ``np.nonzero``'s 2-D walk on
+    the (q, m) match matrices of the agreement kernels (0.43 against
+    0.72 ms at random_regular n=4000 d=8 q=17) and costs about 2 µs more
+    at n=16.
+    """
+    return np.divmod(np.flatnonzero(match), match.shape[1])
+
+
 def collision_counts(csr: CSRGraph, evals: np.ndarray) -> np.ndarray:
     """Per (evaluation point, node) neighbor-agreement counts, int64.
 
@@ -368,7 +440,7 @@ def collision_counts(csr: CSRGraph, evals: np.ndarray) -> np.ndarray:
     half = src < dst
     u, v = src[half], dst[half]
     narrow = evals.astype(np.min_scalar_type(max(q - 1, 0)), copy=False)
-    xs, ks = np.nonzero(narrow[:, u] == narrow[:, v])
+    xs, ks = _match_indices(narrow[:, u] == narrow[:, v])
     base = xs * n
     return np.bincount(
         np.concatenate([base + u[ks], base + v[ks]]), minlength=q * n
@@ -386,7 +458,7 @@ def match_counts(match: np.ndarray, receivers: np.ndarray, n: int) -> np.ndarray
     the other), so each match is counted at its receiver only, with one
     integer ``np.bincount`` over ``x * n + receiver``.
     """
-    xs, ks = np.nonzero(match)
+    xs, ks = _match_indices(match)
     return np.bincount(
         xs * n + receivers[ks], minlength=match.shape[0] * n
     ).reshape(match.shape[0], n)

@@ -37,6 +37,18 @@ CORPUS = "tests/corpus"
 # ----------------------------------------------------------------------
 # hypothesis: the container itself
 # ----------------------------------------------------------------------
+def _fresh_freeze(g: nx.Graph) -> CSRGraph:
+    """``CSRGraph.from_networkx(g)`` computed anew, not read from the memo
+    a batch freeze leaves in ``g``'s networkx cache."""
+    g.__networkx_cache__.clear()
+    return CSRGraph.from_networkx(g)
+
+
+_BATCH_ARRAYS = (
+    "node_offsets", "edge_offsets", "indptr", "indices", "src", "instance_id"
+)
+
+
 @st.composite
 def labeled_graphs(draw):
     """A small graph with gappy, unsorted integer labels."""
@@ -71,7 +83,7 @@ class TestBatchCSRGraphProperties:
         batch = BatchCSRGraph.from_graphs(gs)
         assert batch.k == len(gs)
         for j, g in enumerate(gs):
-            ref = CSRGraph.from_networkx(g)
+            ref = _fresh_freeze(g)
             member = batch.members[j]
             assert member.n == ref.n
             assert member.nodes == ref.nodes
@@ -213,6 +225,29 @@ class TestBatchCSRGraphProperties:
             [graphs.ring(60), graphs.ring(70)]
         )
         assert packed == []
+
+    @pytest.mark.parametrize("mix", ["none", "all", "some", "csr"])
+    def test_from_graphs_with_memoized_members(self, mix):
+        """Memoized members are used as they are, the rest are frozen
+        jointly and memoized, and the packed arrays never depend on which
+        members were already frozen."""
+        def make():
+            return [graphs.gnp(12 + 3 * j, 0.3, seed=j) for j in range(5)]
+
+        want = BatchCSRGraph.from_csrs([_fresh_freeze(g) for g in make()])
+        gs = make()
+        memo = {
+            j: CSRGraph.from_networkx(gs[j])
+            for j in {"none": [], "all": range(5), "some": [1, 3], "csr": [0, 2]}[mix]
+        }
+        args = [memo[j] if mix == "csr" and j in memo else g for j, g in enumerate(gs)]
+        got = BatchCSRGraph.from_graphs(args)
+        for name in _BATCH_ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for j, g in enumerate(gs):
+            assert CSRGraph.from_networkx(g) is got.members[j]
+            if j in memo:
+                assert got.members[j] is memo[j]
 
     def test_k_zero(self):
         batch = BatchCSRGraph.from_graphs([])

@@ -40,6 +40,17 @@ class TestApiDocGenerator:
             "spread over lines"
         )
 
+    def test_committed_docs_match_generator(self, tmp_path):
+        """docs/API.md is exactly what the generator writes today:
+        regenerate it with ``python tools/gen_api_docs.py`` after an API
+        change."""
+        gen = load_gen_api_docs()
+        out = tmp_path / "API.md"
+        assert gen.main(["gen_api_docs.py", str(out)]) == 0
+        assert out.read_text() == (REPO / "docs" / "API.md").read_text(), (
+            "docs/API.md is stale: run python tools/gen_api_docs.py"
+        )
+
     def test_committed_docs_fresh_enough(self):
         """docs/API.md must exist and mention the main entry points."""
         text = (REPO / "docs" / "API.md").read_text()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graphs import gnp, ring, star
 from repro.sim.engine import (
+    _MEMO_KEY,
     CSRGraph,
     as_csr,
     collision_counts,
@@ -344,3 +345,116 @@ class TestHalfEdgeCollisions:
             ids = np.concatenate([plan.owned, plan.ghosts])
             hits = collision_counts(local, evals[:, ids])
             assert np.array_equal(hits[:, : plan.n_owned], want[:, plan.owned])
+
+
+# ----------------------------------------------------------------------
+# the freeze memo
+# ----------------------------------------------------------------------
+def _fresh(graph):
+    """A freeze of ``graph`` that reads no memo."""
+    return _edge_list_freeze(graph)
+
+
+#: Every networkx mutator the package calls, plus ``clear``,
+#: ``clear_edges``, ``update`` and the in-place relabel; each must make the
+#: next freeze see the new topology.
+MUTATORS = {
+    "add_edge": lambda g: g.add_edge(0, 19),
+    "add_edges_from": lambda g: g.add_edges_from([(0, 19), (1, 18)]),
+    "add_node": lambda g: g.add_node(99),
+    "add_nodes_from": lambda g: g.add_nodes_from([98, 99]),
+    "remove_edge": lambda g: g.remove_edge(*next(iter(g.edges))),
+    "remove_edges_from": lambda g: g.remove_edges_from(list(g.edges)[:3]),
+    "remove_node": lambda g: g.remove_node(3),
+    "remove_nodes_from": lambda g: g.remove_nodes_from([3, 4]),
+    "clear": lambda g: g.clear(),
+    "clear_edges": lambda g: g.clear_edges(),
+    "update": lambda g: g.update(edges=[(0, 19)], nodes=[97]),
+    "relabel_in_place": lambda g: nx.relabel_nodes(g, {0: 50}, copy=False),
+}
+
+
+def _memo_graph():
+    g = ring(20)
+    g.remove_edge(0, 19)  # so add_edge(0, 19) is a new edge
+    return g
+
+
+class TestFreezeMemo:
+    def test_second_freeze_returns_the_first(self):
+        g = gnp(30, 0.2, seed=3)
+        first = CSRGraph.from_networkx(g)
+        assert CSRGraph.from_networkx(g) is first
+        assert as_csr(g) is first
+        _same_csr(first, *_fresh(g))
+
+    @pytest.mark.parametrize("name", sorted(MUTATORS))
+    def test_mutation_refreezes(self, name):
+        g = _memo_graph()
+        CSRGraph.from_networkx(g)
+        MUTATORS[name](g)
+        _same_csr(CSRGraph.from_networkx(g), *_fresh(g))
+
+    def test_view_of_mutated_parent_freezes_fresh(self):
+        g = nx.path_graph(6)
+        view = g.subgraph([0, 1, 2, 3])
+        CSRGraph.from_networkx(view)
+        g.add_edge(0, 3)
+        got = CSRGraph.from_networkx(view)
+        _same_csr(got, *_fresh(view))
+        assert got.num_directed_edges == 8
+
+    @pytest.mark.parametrize("name", ["indptr", "indices", "src"])
+    def test_memoized_arrays_are_read_only(self, name):
+        csr = CSRGraph.from_networkx(gnp(20, 0.3, seed=1))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(csr, name)[0] = 7
+
+    @pytest.mark.parametrize("copy", ["pickle", "deepcopy"])
+    def test_copied_graph_freezes_to_equal_read_only_arrays(self, copy):
+        import copy as copy_mod
+        import pickle
+
+        g = gnp(25, 0.2, seed=5)
+        CSRGraph.from_networkx(g)
+        clone = (
+            pickle.loads(pickle.dumps(g)) if copy == "pickle" else copy_mod.deepcopy(g)
+        )
+        assert _MEMO_KEY in clone.__networkx_cache__  # the memo travels
+        got = CSRGraph.from_networkx(clone)
+        _same_csr(got, *_fresh(g))
+        for name in ("indptr", "indices", "src"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(got, name)[0] = 7
+
+    def test_graph_without_networkx_cache_still_freezes(self):
+        g = gnp(20, 0.3, seed=2)
+        delattr(g, "__networkx_cache__")  # as on networkx below 3.3
+        first = CSRGraph.from_networkx(g)
+        second = CSRGraph.from_networkx(g)
+        assert second is not first
+        _same_csr(second, *_fresh(g))
+
+    def test_three_kernels_freeze_one_graph_once(self, monkeypatch):
+        from repro.sim import batch as batch_mod
+        from repro.sim import engine as engine_mod
+        from repro.sim.vectorized import (
+            classic_delta_plus_one_vectorized,
+            fk24_vectorized,
+            linial_vectorized,
+        )
+
+        calls = []
+        real = engine_mod._networkx_edges
+
+        def spy(graphs):
+            calls.append(len(graphs))
+            return real(graphs)
+
+        monkeypatch.setattr(engine_mod, "_networkx_edges", spy)
+        monkeypatch.setattr(batch_mod, "_networkx_edges", spy)
+        g = gnp(60, 0.1, seed=4)
+        linial_vectorized(g)
+        classic_delta_plus_one_vectorized(g)
+        fk24_vectorized(g, defect=1)
+        assert calls == [1]

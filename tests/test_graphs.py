@@ -30,7 +30,7 @@ from repro.graphs import (
     star,
     torus,
 )
-from repro.graphs.generators import _relabel
+from repro.graphs.generators import _EDGE_EMITTERS, _relabel
 from repro.sim.engine import CSRGraph
 
 
@@ -230,6 +230,17 @@ EMITTER_CASES = [
 ]
 
 
+#: One ``(family, params)`` per emitting family.
+EDGE_FREEZE_CASES = [
+    ("ring", {"n": 12}),
+    ("path", {"n": 7}),
+    ("random_regular", {"n": 30, "degree": 3, "seed": 1}),
+    ("gnp", {"n": 25, "p": 0.3, "seed": 2}),
+    ("random_tree", {"n": 20, "seed": 3}),
+    ("hypercube", {"dim": 4}),
+]
+
+
 class TestEdgeEmitters:
     """Each family's emitted edges freeze like its networkx graph, and its
     builder rebuilds that graph in node, edge and adjacency order."""
@@ -246,6 +257,18 @@ class TestEdgeEmitters:
                 CSRGraph.from_edges(n, edges), CSRGraph.from_networkx(graph)
             ), (name, params)
             assert _same_graph(family_from_edges(name, n, edges), graph), (name, params)
+
+    @pytest.mark.parametrize("name, params", EDGE_FREEZE_CASES)
+    def test_edge_freeze_is_the_built_graphs_freeze(self, name, params):
+        """The sweep memoizes ``from_edges`` of a family's emitted edges as
+        the freeze of the graph :func:`family_from_edges` builds from them,
+        so the two must agree array for array, for every emitting family."""
+        n, edges = family_edges(name, **params)
+        built = family_from_edges(name, n, edges)
+        assert _same_csr(CSRGraph.from_edges(n, edges), CSRGraph.from_networkx(built))
+
+    def test_edge_freeze_cases_cover_every_emitter(self):
+        assert {name for name, _ in EDGE_FREEZE_CASES} == set(_EDGE_EMITTERS)
 
     def test_emitters_validate_like_the_generators(self):
         for name, params in [

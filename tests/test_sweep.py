@@ -10,6 +10,7 @@ from repro.experiments.sweep import (
     SweepCell,
     cell_key,
     compute_cell,
+    compute_cells_batched,
     grid,
     partition_cells,
     run_sweep,
@@ -81,10 +82,13 @@ def _count_freezes(monkeypatch) -> list:
     """Record every CSR build from now on: by either constructor
     (``CSRGraph.from_networkx`` or ``CSRGraph.from_edges``), and one
     ``from_graphs`` entry per member that ``BatchCSRGraph.from_graphs``
-    freezes in one pass (a batch holding any CSR freezes its networkx
-    members through ``from_networkx`` instead)."""
+    freezes in one pass.  A graph whose CSR is memoized is not frozen
+    again, so it counts for neither."""
     from repro.sim.batch import BatchCSRGraph
-    from repro.sim.engine import CSRGraph
+    from repro.sim.engine import CSRGraph, memoized_csr
+
+    def unfrozen(graph) -> bool:
+        return not isinstance(graph, CSRGraph) and memoized_csr(graph) is None
 
     calls = []
 
@@ -97,15 +101,9 @@ def _count_freezes(monkeypatch) -> list:
 
         monkeypatch.setattr(owner, name, classmethod(spy))
 
-    spy_on(CSRGraph, "from_networkx", lambda *_: 1)
+    spy_on(CSRGraph, "from_networkx", unfrozen)
     spy_on(CSRGraph, "from_edges", lambda *_: 1)
-    spy_on(
-        BatchCSRGraph,
-        "from_graphs",
-        lambda graphs: 0
-        if any(isinstance(g, CSRGraph) for g in graphs)
-        else len(graphs),
-    )
+    spy_on(BatchCSRGraph, "from_graphs", lambda graphs: sum(map(unfrozen, graphs)))
     return calls
 
 
@@ -218,6 +216,34 @@ class TestSingleFreeze:
         assert compute_cell(cell)["valid"] is True
         assert graphs == []
         assert freezes == ["from_edges"]
+
+    @pytest.mark.parametrize("seeds", [[4], [4, 5, 6]])
+    def test_greedy_cell_reads_no_networkx_adjacency(self, monkeypatch, seeds):
+        """A greedy cell of an emitting family builds its networkx graph
+        for the instance's lists, but the kernel reads the CSR frozen from
+        the edges, memoized on that graph: no adjacency walk."""
+        from repro.sim import batch as batch_mod
+        from repro.sim import engine as engine_mod
+
+        walks = []
+
+        def refuse(graphs):
+            walks.append(len(graphs))
+            raise AssertionError("networkx adjacency walked")
+
+        monkeypatch.setattr(engine_mod, "_networkx_edges", refuse)
+        monkeypatch.setattr(batch_mod, "_networkx_edges", refuse)
+        cells = [
+            SweepCell.make(
+                "random_regular", {"n": 300, "degree": 8, "seed": s}, "greedy_vectorized"
+            )
+            for s in seeds
+        ]
+        records = (
+            [compute_cell(cells[0])] if len(cells) == 1 else compute_cells_batched(cells)
+        )
+        assert [r["valid"] for r in records] == [True] * len(cells)
+        assert walks == []
 
     def test_family_without_emitter_freezes_its_graph(self, monkeypatch):
         calls = _count_freezes(monkeypatch)
